@@ -7,8 +7,10 @@ filename and compares every throughput series — numeric leaves whose key
 contains ``_per_second`` (higher is better) plus the kernelization
 ``speedup`` ratios — at matching JSON paths.  A fresh value more than
 ``--tolerance`` (default 20%) below its baseline is a regression and the
-exit status is nonzero, so a CI job can run a benchmark and gate on the
-result in two lines::
+exit status is nonzero.  Every ``digest`` leaf must also equal its
+baseline exactly: the benchmarks are seeded, so a changed digest means
+the measured run computed something different.  A CI job can run a
+benchmark and gate on the result in two lines::
 
     python benchmarks/bench_service.py --profile smoke
     python benchmarks/compare.py BENCH_service.json
@@ -36,17 +38,31 @@ DEFAULT_OUTPUT_DIR = BENCH_DIR / "output"
 THROUGHPUT_MARKERS = ("_per_second", "speedup")
 
 
-def throughput_leaves(payload, path=()):
-    """Yield ``(dotted.path, value)`` for every throughput leaf."""
+def leaves(payload, path=()):
+    """Yield ``(path tuple, value)`` for every leaf outside ``config``."""
     if isinstance(payload, dict):
         for key in sorted(payload):
             if key == "config":
                 continue  # config echoes are inputs, not measurements
-            yield from throughput_leaves(payload[key], path + (str(key),))
-    elif isinstance(payload, (int, float)) and not isinstance(payload, bool):
+            yield from leaves(payload[key], path + (str(key),))
+    else:
+        yield path, payload
+
+
+def throughput_leaves(payload):
+    """Yield ``(dotted.path, value)`` for every throughput leaf."""
+    for path, value in leaves(payload):
         key = path[-1] if path else ""
-        if any(marker in key for marker in THROUGHPUT_MARKERS):
-            yield ".".join(path), float(payload)
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and any(marker in key for marker in THROUGHPUT_MARKERS)):
+            yield ".".join(path), float(value)
+
+
+def digest_leaves(payload):
+    """Yield ``(dotted.path, value)`` for every ``digest`` leaf."""
+    for path, value in leaves(payload):
+        if path and path[-1] == "digest":
+            yield ".".join(path), value
 
 
 def compare_payloads(name: str, baseline: dict, fresh: dict,
@@ -82,6 +98,14 @@ def compare_payloads(name: str, baseline: dict, fresh: dict,
             notes.append(line)
     for path in sorted(set(fresh_series) - set(base_series)):
         notes.append(f"{name}: {path} is new (no baseline yet)")
+    fresh_digests = dict(digest_leaves(fresh))
+    for path, base_digest in sorted(digest_leaves(baseline)):
+        line = (f"{name}: {path} baseline {base_digest} -> fresh "
+                f"{fresh_digests.get(path)}")
+        if fresh_digests.get(path) != base_digest:
+            regressions.append(line + "  DIGEST CHANGED")
+        else:
+            notes.append(line)
     return regressions, notes
 
 
@@ -155,11 +179,11 @@ def main(argv=None) -> int:
               "nothing gated", file=sys.stderr)
         return 2
     if all_regressions:
-        print(f"compare: {len(all_regressions)} throughput regression(s) "
-              f"beyond {args.tolerance:.0%} of baseline")
+        print(f"compare: {len(all_regressions)} regression(s): throughput "
+              f"beyond {args.tolerance:.0%} of baseline or a changed digest")
         return 1
     print(f"compare: {compared} file(s) within {args.tolerance:.0%} of "
-          f"baseline")
+          f"baseline, digests unchanged")
     return 0
 
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.database.queries import QueryPlan
 from repro.errors import ConfigurationError
-from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import Graph
 from repro.rng import make_rng
 
@@ -103,6 +102,10 @@ class GraphMutationLog:
     Replay is order-sensitive: a delete only kills edges logged (or in the
     base graph) *before* it, so delete-then-reinsert round-trips.
 
+    The log is append-only, so :meth:`materialize` is incremental: it
+    keeps the live edges of its last replay and applies only the ops
+    logged since.
+
     The dynamic-partitioning experiments use this to measure how a stale
     partitioning degrades as the graph mutates, and how refinement
     (:func:`repro.partitioning.dynamic.hermes_refine`) recovers it.
@@ -113,6 +116,15 @@ class GraphMutationLog:
         #: Ordered ops: ``(kind, u, v)``; ``v`` is -1 for vertex ops.
         self._ops: list[tuple[str, int, int]] = []
         self._added_vertices = 0
+        self._inserts = 0
+        self._deletes = 0
+        # Replay state: the live edges after the first ``_replayed`` ops,
+        # in edge-id order, with the op index that created each (-1 for
+        # base edges).  Dead edges never revive, so they are dropped.
+        self._replayed = 0
+        self._src = np.asarray(base.src, dtype=np.int64)
+        self._dst = np.asarray(base.dst, dtype=np.int64)
+        self._created = np.full(base.num_edges, -1, dtype=np.int64)
 
     @property
     def num_vertices(self) -> int:
@@ -129,12 +141,14 @@ class GraphMutationLog:
         self._check_id(src)
         self._check_id(dst)
         self._ops.append(("insert_edge", src, dst))
+        self._inserts += 1
 
     def delete_edge(self, src: int, dst: int) -> None:
         """Kill every live ``src -> dst`` edge logged or present so far."""
         self._check_id(src)
         self._check_id(dst)
         self._ops.append(("delete_edge", src, dst))
+        self._deletes += 1
 
     def add_vertex(self) -> int:
         """Grow the id space by one; returns the new vertex's id."""
@@ -147,15 +161,15 @@ class GraphMutationLog:
         """Kill every live edge incident to *vertex* (the id remains)."""
         self._check_id(vertex)
         self._ops.append(("remove_vertex", vertex, -1))
+        self._deletes += 1
 
     @property
     def num_inserts(self) -> int:
-        return sum(1 for kind, _, _ in self._ops if kind == "insert_edge")
+        return self._inserts
 
     @property
     def num_deletes(self) -> int:
-        return sum(1 for kind, _, _ in self._ops
-                   if kind in ("delete_edge", "remove_vertex"))
+        return self._deletes
 
     @property
     def num_ops(self) -> int:
@@ -167,31 +181,59 @@ class GraphMutationLog:
         Deletes are applied in log order against everything created
         before them: base edges carry creation index -1, logged inserts
         their op index, and a delete at op index ``p`` only kills live
-        matching edges with creation index ``< p``.
+        matching edges with creation index ``< p``.  Edge ids are base
+        edges first, then surviving inserts in op order.
+
+        Only the ops logged since the previous call are replayed, in
+        O(new ops + E): an edge dies when the largest index of a new
+        ``delete_edge`` on its ``(src, dst)`` key, or of a new
+        ``remove_vertex`` on either endpoint, exceeds its creation index.
+        Both are resolved for all edges at once by a sort-join.
         """
-        base_m = self.base.num_edges
-        inserts = [(i, u, v) for i, (kind, u, v) in enumerate(self._ops)
-                   if kind == "insert_edge"]
-        src = np.concatenate([
-            self.base.src, np.array([u for _, u, _ in inserts],
-                                    dtype=np.int64)])
-        dst = np.concatenate([
-            self.base.dst, np.array([v for _, _, v in inserts],
-                                    dtype=np.int64)])
-        created = np.concatenate([
-            np.full(base_m, -1, dtype=np.int64),
-            np.array([i for i, _, _ in inserts], dtype=np.int64)])
-        alive = np.ones(src.size, dtype=bool)
-        for index, (kind, u, v) in enumerate(self._ops):
-            if kind == "delete_edge":
-                alive &= ~((src == u) & (dst == v) & (created < index))
+        inserts: list[tuple[int, int, int]] = []
+        deletes: list[tuple[int, int, int]] = []
+        removes: list[tuple[int, int]] = []
+        for index in range(self._replayed, len(self._ops)):
+            kind, u, v = self._ops[index]
+            if kind == "insert_edge":
+                inserts.append((index, u, v))
+            elif kind == "delete_edge":
+                deletes.append((index, u, v))
             elif kind == "remove_vertex":
-                alive &= ~(((src == u) | (dst == u)) & (created < index))
-        builder = GraphBuilder(num_vertices=self.num_vertices,
-                               allow_self_loops=True)
-        if alive.any():
-            builder.add_edges(np.column_stack([src[alive], dst[alive]]))
-        return builder.build(name=name or f"{self.base.name}+{self.num_ops}")
+                removes.append((index, u))
+        self._replayed = len(self._ops)
+        if inserts:
+            created, src, dst = np.array(inserts, dtype=np.int64).T
+            self._src = np.concatenate([self._src, src])
+            self._dst = np.concatenate([self._dst, dst])
+            self._created = np.concatenate([self._created, created])
+        if deletes or removes:
+            killed_after = np.full(self._src.size, -1, dtype=np.int64)
+            if deletes:
+                index, u, v = np.array(deletes, dtype=np.int64).T
+                # Op indices ascend, so after a stable sort by key the
+                # last entry of each run holds that key's largest index.
+                keys = (u << 32) | v
+                order = np.argsort(keys, kind="stable")
+                keys, index = keys[order], index[order]
+                last = np.append(keys[1:] != keys[:-1], True)
+                keys, index = keys[last], index[last]
+                edge_keys = (self._src << 32) | self._dst
+                slot = np.minimum(keys.searchsorted(edge_keys), keys.size - 1)
+                hit = keys[slot] == edge_keys
+                killed_after[hit] = index[slot[hit]]
+            if removes:
+                index, u = np.array(removes, dtype=np.int64).T
+                removed = np.full(self.num_vertices, -1, dtype=np.int64)
+                np.maximum.at(removed, u, index)
+                np.maximum(killed_after, removed[self._src], out=killed_after)
+                np.maximum(killed_after, removed[self._dst], out=killed_after)
+            alive = killed_after <= self._created
+            self._src = self._src[alive]
+            self._dst = self._dst[alive]
+            self._created = self._created[alive]
+        return Graph(self.num_vertices, self._src, self._dst,
+                     name=name or f"{self.base.name}+{self.num_ops}")
 
 
 def mixed_read_write_bindings(generator, *, count: int = 1000,

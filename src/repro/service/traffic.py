@@ -57,6 +57,55 @@ def _epoch_seed(seed: int, epoch: int, salt: int) -> int:
     return (seed * 1_000_003 + epoch) * 2_654_435_761 + salt
 
 
+class PopularitySampler:
+    """Weighted vertex draws for one epoch, built once, drawn many times.
+
+    Returns exactly what ``rng.choice(n, p=popularity)`` and
+    ``rng.choice(n, size=k, replace=False, p=popularity)`` return and
+    consumes the same uniforms, so the generator ends in the same state.
+    ``Generator.choice`` validates and cumulates the n-length vector on
+    every call; here the CDF is built once per epoch (O(n)) and each draw
+    is a binary search (O(log n)).  ``tests/test_service_traffic.py``
+    pins the equivalence against numpy.
+    """
+
+    def __init__(self, popularity: np.ndarray):
+        self._popularity = popularity
+        cdf = popularity.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf
+
+    def one(self, rng) -> int:
+        """One draw, as ``rng.choice(n, p=popularity)``."""
+        return int(self._cdf.searchsorted(rng.random(), side="right"))
+
+    def distinct(self, rng, size: int) -> np.ndarray:
+        """*size* distinct draws, as ``rng.choice(n, size=size,
+        replace=False, p=popularity)``: rounds of uniforms, keeping first
+        occurrences in order; only a collision re-cumulates the CDF with
+        the vertices found so far zeroed out."""
+        if size > self._cdf.size:
+            raise ValueError("Cannot take a larger sample than population "
+                             "when replace is False")
+        found = _first_occurrences(
+            self._cdf.searchsorted(rng.random(size), side="right"))
+        if found.size < size:
+            weights = self._popularity.copy()
+            while found.size < size:
+                uniforms = rng.random(size - found.size)
+                weights[found] = 0.0
+                cdf = np.cumsum(weights)
+                cdf /= cdf[-1]
+                found = np.concatenate([found, _first_occurrences(
+                    cdf.searchsorted(uniforms, side="right"))])
+        return found
+
+
+def _first_occurrences(values: np.ndarray) -> np.ndarray:
+    """*values* without repeats, each kept at its first position."""
+    return np.array(list(dict.fromkeys(values.tolist())), dtype=np.int64)
+
+
 class TrafficModel:
     """Generates one :class:`EpochTraffic` per epoch from the live graph."""
 
@@ -93,28 +142,27 @@ class TrafficModel:
         degree = graph.degree.astype(np.float64)
         popularity = degree + 1.0
         popularity /= popularity.sum()
+        sampler = PopularitySampler(popularity)
         out: list[Mutation] = []
         for kind_index in kinds.tolist():
             if kind_index == 0:
-                out.append(self._edge_add(graph, rng, popularity))
+                out.append(self._edge_add(graph, rng, sampler))
             elif kind_index == 1:
-                out.append(self._edge_delete(graph, rng, popularity))
+                out.append(self._edge_delete(graph, rng, sampler))
             elif kind_index == 2:
-                out.append(self._vertex_add(graph, rng, popularity))
+                out.append(self._vertex_add(rng, sampler))
             elif kind_index == 3:
                 out.append(Mutation(
                     "remove_vertex",
                     u=int(rng.integers(0, graph.num_vertices))))
             else:
-                out.append(Mutation(
-                    "update_vertex",
-                    u=int(rng.choice(graph.num_vertices, p=popularity))))
+                out.append(Mutation("update_vertex", u=sampler.one(rng)))
         return tuple(out)
 
     def _edge_add(self, graph: Graph, rng,
-                  popularity: np.ndarray) -> Mutation:
-        src = int(rng.choice(graph.num_vertices, p=popularity))
-        dst = int(rng.choice(graph.num_vertices, p=popularity))
+                  sampler: PopularitySampler) -> Mutation:
+        src = sampler.one(rng)
+        dst = sampler.one(rng)
         friends = graph.neighbors(src)
         if friends.size:
             # Triadic closure: prefer a friend-of-a-friend.
@@ -126,20 +174,16 @@ class TrafficModel:
         return Mutation("insert_edge", u=src, v=dst)
 
     def _edge_delete(self, graph: Graph, rng,
-                     popularity: np.ndarray) -> Mutation:
+                     sampler: PopularitySampler) -> Mutation:
         if graph.num_edges == 0:
             # Nothing to delete: degrade to a property update.
-            return Mutation(
-                "update_vertex",
-                u=int(rng.choice(graph.num_vertices, p=popularity)))
+            return Mutation("update_vertex", u=sampler.one(rng))
         eid = int(rng.integers(0, graph.num_edges))
         return Mutation("delete_edge", u=int(graph.src[eid]),
                         v=int(graph.dst[eid]))
 
-    def _vertex_add(self, graph: Graph, rng,
-                    popularity: np.ndarray) -> Mutation:
+    def _vertex_add(self, rng, sampler: PopularitySampler) -> Mutation:
         fanout = int(rng.integers(1, 4))
-        neighbors = rng.choice(graph.num_vertices, size=fanout,
-                               replace=False, p=popularity)
+        neighbors = sampler.distinct(rng, fanout)
         return Mutation("add_vertex",
                         neighbors=tuple(int(n) for n in neighbors.tolist()))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.database import (
     GraphMutationLog,
@@ -16,6 +18,7 @@ from repro.database import (
 )
 from repro.database.mutations import MUTATION_KINDS
 from repro.errors import ConfigurationError
+from repro.graph import Graph
 from repro.partitioning import HashVertexPartitioner, LdgPartitioner
 
 
@@ -207,3 +210,118 @@ class TestMixedWorkload:
 
         assert single_partition_writes(clustered) > \
             single_partition_writes(hashed)
+
+
+def _full_replay(base, ops, num_vertices):
+    """From-scratch oracle: replay every op over the base graph, applying
+    each delete as a full-length mask (the original, quadratic replay)."""
+    from repro.graph import GraphBuilder
+
+    base_m = base.num_edges
+    inserts = [(i, u, v) for i, (kind, u, v) in enumerate(ops)
+               if kind == "insert_edge"]
+    src = np.concatenate([base.src, np.array([u for _, u, _ in inserts],
+                                             dtype=np.int64)])
+    dst = np.concatenate([base.dst, np.array([v for _, _, v in inserts],
+                                             dtype=np.int64)])
+    created = np.concatenate([np.full(base_m, -1, dtype=np.int64),
+                              np.array([i for i, _, _ in inserts],
+                                       dtype=np.int64)])
+    alive = np.ones(src.size, dtype=bool)
+    for index, (kind, u, v) in enumerate(ops):
+        if kind == "delete_edge":
+            alive &= ~((src == u) & (dst == v) & (created < index))
+        elif kind == "remove_vertex":
+            alive &= ~(((src == u) | (dst == u)) & (created < index))
+    builder = GraphBuilder(num_vertices=num_vertices, allow_self_loops=True)
+    if alive.any():
+        builder.add_edges(np.column_stack([src[alive], dst[alive]]))
+    return builder.build(name=f"{base.name}+{len(ops)}")
+
+
+def _replay_against_oracle(base, script):
+    """Apply *script* to a log, materialising at every ``"split"`` step
+    and at the end; every graph must equal the full-replay oracle.
+
+    Vertex arguments are taken modulo the current id space, so scripts
+    stay valid as ``add_vertex`` grows it.
+    """
+    log = GraphMutationLog(base)
+    ops = []
+    for step in [*script, ("split",)]:
+        kind = step[0]
+        n = log.num_vertices
+        if kind == "split":
+            got = log.materialize()
+            want = _full_replay(base, ops, n)
+            assert got.num_vertices == want.num_vertices
+            assert got.name == want.name
+            assert np.array_equal(got.src, want.src)
+            assert np.array_equal(got.dst, want.dst)
+        elif kind == "add_vertex":
+            ops.append((kind, log.add_vertex(), -1))
+        elif kind == "remove_vertex":
+            log.remove_vertex(step[1] % n)
+            ops.append((kind, step[1] % n, -1))
+        else:
+            u, v = step[1] % n, step[2] % n
+            getattr(log, kind)(u, v)
+            ops.append((kind, u, v))
+    assert log.num_inserts == sum(k == "insert_edge" for k, _, _ in ops)
+    assert log.num_deletes == sum(k in ("delete_edge", "remove_vertex")
+                                  for k, _, _ in ops)
+
+
+_VERTEX = st.integers(min_value=0, max_value=7)
+_STEP = st.one_of(
+    st.tuples(st.just("insert_edge"), _VERTEX, _VERTEX),
+    st.tuples(st.just("delete_edge"), _VERTEX, _VERTEX),
+    st.tuples(st.just("remove_vertex"), _VERTEX),
+    st.tuples(st.just("add_vertex")),
+    st.tuples(st.just("split")),
+)
+
+
+@st.composite
+def _multigraphs(draw):
+    """Tiny multigraphs: few vertices, so duplicate edges and self-loops
+    are common."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=12))
+    src = np.array([u for u, _ in pairs], dtype=np.int64)
+    dst = np.array([v for _, v in pairs], dtype=np.int64)
+    return Graph(n, src, dst, name="multi")
+
+
+class TestIncrementalReplay:
+    """``materialize`` replays only the ops logged since its last call;
+    at every split point it must equal a from-scratch full replay."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(base=_multigraphs(), script=st.lists(_STEP, max_size=40))
+    def test_matches_full_replay(self, base, script):
+        _replay_against_oracle(base, script)
+
+    def test_delete_then_reinsert_in_one_batch(self):
+        base = Graph(3, [0, 0, 1, 2], [1, 1, 1, 2], name="multi")
+        _replay_against_oracle(base, [
+            ("insert_edge", 0, 1), ("delete_edge", 0, 1),
+            ("insert_edge", 0, 1), ("insert_edge", 0, 1), ("split",),
+            ("delete_edge", 1, 1), ("insert_edge", 1, 1),
+            ("delete_edge", 2, 2), ("split",), ("delete_edge", 0, 1)])
+
+    def test_remove_vertex_added_in_same_batch(self):
+        base = Graph(3, [0, 1, 2], [1, 2, 2], name="multi")
+        _replay_against_oracle(base, [
+            ("split",), ("add_vertex",), ("insert_edge", 3, 0),
+            ("insert_edge", 1, 3), ("insert_edge", 3, 3),
+            ("remove_vertex", 3), ("insert_edge", 3, 2), ("split",),
+            ("add_vertex",), ("remove_vertex", 4), ("insert_edge", 4, 4)])
+
+    def test_materialize_twice_without_new_ops(self, tiny_graph):
+        log = GraphMutationLog(tiny_graph)
+        log.delete_edge(0, 1)
+        first, second = log.materialize(), log.materialize()
+        assert list(first.edges()) == list(second.edges())
+        assert first.name == second.name == "tiny+1"
