@@ -16,7 +16,6 @@ comparisons.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +117,6 @@ class Worker:
         self.worker_id = worker_id
         self.model = model
         self.speed = speed
-        self.queue: deque = deque()
         self.busy_until = 0.0
         self.stats = WorkerStats()
 
@@ -127,7 +125,6 @@ class Worker:
         return self.model.service_seconds(num_reads) / self.speed
 
     def reset(self) -> None:
-        self.queue.clear()
         self.busy_until = 0.0
         self.stats = WorkerStats()
 

@@ -29,20 +29,36 @@ Event-loop representation
 The heap holds plain ``(time, seq, kind, payload)`` tuples — kind is a
 small int — so ordering compares run in C instead of a dataclass
 ``__lt__`` (which dominated the old profile at >500k calls per run).
-Fault-free runs additionally take a *batched* fast path: each binding's
-routed plan is precompiled once into per-phase request columns
-(:class:`_PhaseColumns` — service times, network deltas, byte totals,
-merge cost), a phase's requests are issued in one pass over those
-columns, and the phase's ``m`` response events collapse into a single
-``_PHASE_SETTLED`` event at the lexicographically-last ``(time, seq)``
-of the would-be responses.  Intermediate response events have no side
-effects (they only decrement an outstanding counter), and the collapsed
-event consumes all ``m`` sequence numbers, so the heap's tie-breaking,
-the sampler's tick boundaries, and every float accumulation order are
-*identical* to the scalar loop — ``repro.database._reference`` plus
-``tests/test_substrate_equivalence.py`` hold the fast path to
-byte-identical results.  Faulty runs keep the scalar per-request path
-verbatim (the ChaosHarness same-arithmetic-in-the-same-order contract).
+Every run, with or without faults, goes through one loop with one
+handler per event kind.
+
+Each binding's routed plan is compiled once per *effective coordinator*
+into per-phase request rows (:class:`_PhaseColumns` — service times,
+network deltas, byte totals, merge cost); a failover coordinator gets
+its own compilation, because it changes which rows are remote.  A
+*request batch* — a phase's first attempt, or one retried request — is
+issued in one pass over its rows.  Every row consumes one sequence
+number.  Under a non-empty fault schedule a row also consumes a request
+id and takes its crash, drop, slowdown and extra-latency decisions, and
+a lost row pushes its ``_TIMEOUT``.  The served rows' response events
+collapse into one ``_SETTLED`` event at their lexicographically-last
+``(time, seq)``.
+
+The collapse is exact because of two invariants:
+
+* every fault decision is made when a request is *issued*, never when
+  its response arrives;
+* an intermediate response event has no side effect — it only moves the
+  phase's outstanding count toward zero.
+
+So heap tie-breaking, the sampler's tick boundaries and every float
+accumulation order are *identical* to a loop that pushes one response
+event per request.  ``repro.database._reference`` freezes such a loop,
+and ``tests/test_substrate_equivalence.py`` holds this one to
+byte-identical results against it, faulty scenarios included.  An empty
+fault schedule skips every fault decision, so a run with it performs the
+same arithmetic in the same order as a run without fault injection (the
+ChaosHarness invariant).
 """
 
 from __future__ import annotations
@@ -80,12 +96,11 @@ BYTES_PER_REMOTE_REQUEST = 256.0
 # ``seq`` is unique so the kind int never participates in ordering.
 _START = 0
 _PHASE_DONE = 1
-_PHASE_SETTLED = 2  # fast path: a whole phase's responses, collapsed
-_RESPONSE = 3
-_TIMEOUT = 4
-_RETRY = 5
-_BACKGROUND = 6
-_ABORT = 7
+_SETTLED = 2  # a request batch's served responses, collapsed
+_TIMEOUT = 3
+_RETRY = 4
+_BACKGROUND = 5
+_ABORT = 6
 
 
 @dataclass
@@ -181,57 +196,18 @@ class SimulationResult:
         return self.vertices_read_per_worker
 
 
-class _QueryState:
-    """Progress of one in-flight query (scalar/faulty path)."""
-
-    __slots__ = ("routed", "client", "phase", "outstanding", "received",
-                 "started", "phase_ready", "coordinator", "failed", "span",
-                 "hop_span")
-
-    def __init__(self, routed: RoutedQuery, client: int, started: float):
-        self.routed = routed
-        self.client = client
-        self.phase = 0
-        self.outstanding = 0
-        #: Responses that actually arrived this phase — the merge below
-        #: may only charge for these, not the planned fan-out.
-        self.received = 0
-        self.started = started
-        self.phase_ready = started
-        #: Effective coordinator — the routed primary unless it was down
-        #: at query start and a replica took over.
-        self.coordinator = routed.coordinator
-        #: Set when any request of this query exhausted its retry budget.
-        self.failed = False
-        #: Open telemetry span ids (0 = tracing disabled).
-        self.span = 0
-        self.hop_span = 0
-
-
-class _Request:
-    """One storage request in flight, tracked for timeout/retry."""
-
-    __slots__ = ("state", "primary", "reads", "attempt")
-
-    def __init__(self, state: _QueryState, primary: int, reads: int,
-                 attempt: int):
-        self.state = state
-        self.primary = primary
-        self.reads = reads
-        self.attempt = attempt
-
-
 class _PhaseColumns:
-    """One routed phase, precompiled for the batched fast path.
+    """A request batch compiled for one coordinator: a routed phase, or
+    a single retried request.
 
     ``rows`` holds one ``(worker, reads, service_seconds, net_delta,
     remote)`` tuple per request — every float computed by the *same
-    expression* the scalar path uses (``model.service_seconds(reads) /
-    worker.speed``; half-RTT network delta), so issuing from the columns
-    reproduces the scalar arithmetic bit for bit.  ``route_plan`` groups
-    a phase's reads by distinct owner, so the workers in ``rows`` are
-    pairwise distinct — which is what lets a whole phase issue in one
-    pass without intra-phase queue interactions.
+    expression* the per-request model uses (``model.service_seconds(
+    reads) / worker.speed``), so issuing from the rows reproduces that
+    arithmetic bit for bit.  ``net_delta`` is the one-way half-RTT of a
+    remote row (0.0 for a local one); the loop adds the fault schedule's
+    extra latency to it, keeping the expression
+    ``network_rtt_seconds / 2 + extra``.
     """
 
     __slots__ = ("rows", "fanout", "total_reads", "remote_reads",
@@ -249,29 +225,60 @@ class _PhaseColumns:
 
 
 class _QueryColumns:
-    """A routed query's phases in column form, cached per binding."""
+    """A routed query's phases compiled for one coordinator."""
 
-    __slots__ = ("kind", "coordinator", "phases", "num_phases")
+    __slots__ = ("routed", "kind", "coordinator", "phases", "num_phases")
 
-    def __init__(self, kind: str, coordinator: int, phases: tuple):
-        self.kind = kind
+    def __init__(self, routed: RoutedQuery, coordinator: int,
+                 phases: tuple):
+        self.routed = routed
+        self.kind = routed.kind
         self.coordinator = coordinator
         self.phases = phases
         self.num_phases = len(phases)
 
 
-class _FastQuery:
-    """Progress of one in-flight query (fault-free fast path)."""
+class _QueryState:
+    """Progress of one in-flight query."""
 
-    __slots__ = ("cols", "client", "phase", "started", "span", "hop_span")
+    __slots__ = ("cols", "client", "phase", "outstanding", "received",
+                 "started", "failed", "span", "hop_span")
 
     def __init__(self, cols: _QueryColumns, client: int, started: float):
+        #: The plan compiled for the effective coordinator — the routed
+        #: primary unless it was down at query start and a replica took
+        #: over.
         self.cols = cols
         self.client = client
         self.phase = 0
+        #: Pending settle events of the current phase: one per request
+        #: batch with a served row, one per lost request whose
+        #: timeout/retry chain is still open.
+        self.outstanding = 0
+        #: Responses that arrived this phase — the merge below may only
+        #: charge for these, not the planned fan-out.  Credited at issue:
+        #: a served row's response is certain, and the merge cannot run
+        #: before its settle event.
+        self.received = 0
         self.started = started
+        #: Set when any request of this query exhausted its retry budget.
+        self.failed = False
+        #: Open telemetry span ids (0 = tracing disabled).
         self.span = 0
         self.hop_span = 0
+
+
+class _Request:
+    """One lost storage request, tracked for timeout/retry."""
+
+    __slots__ = ("state", "primary", "reads", "attempt")
+
+    def __init__(self, state: _QueryState, primary: int, reads: int,
+                 attempt: int):
+        self.state = state
+        self.primary = primary
+        self.reads = reads
+        self.attempt = attempt
 
 
 class ClosedLoopSimulation:
@@ -335,60 +342,58 @@ class ClosedLoopSimulation:
         self.replica_map = ReplicaMap(num_workers,
                                       max(1, min(k_safety, num_workers)))
         self.raise_on_failure = raise_on_failure
-        self._plan_cache: dict[tuple, RoutedQuery] = {}
         # Worker speeds and the (scaled) service model are fixed at
-        # construction, so compiled columns stay valid across runs.
-        self._columns_cache: dict[tuple, _QueryColumns] = {}
+        # construction, so compiled plans stay valid across runs.
+        self._compiled: dict[tuple, _QueryColumns] = {}
 
     # ------------------------------------------------------------------
-    def _routed(self, binding: QueryBinding) -> RoutedQuery:
-        key = (binding.kind, binding.start_vertex, binding.target_vertex)
-        cached = self._plan_cache.get(key)
+    def _columns(self, binding: QueryBinding,
+                 coordinator: int | None = None) -> _QueryColumns:
+        """*binding*'s routed plan compiled for *coordinator* (``None``:
+        the routed one, the start vertex's owner)."""
+        key = (binding.kind, binding.start_vertex, binding.target_vertex,
+               coordinator)
+        cached = self._compiled.get(key)
         if cached is None:
-            plan = plan_query(self.graph, binding.kind, binding.start_vertex,
-                              target_vertex=binding.target_vertex,
-                              fanout_limit=self.fanout_limit)
-            cached = route_plan(plan, self.owner)
-            self._plan_cache[key] = cached
+            if coordinator is None:
+                plan = plan_query(self.graph, binding.kind,
+                                  binding.start_vertex,
+                                  target_vertex=binding.target_vertex,
+                                  fanout_limit=self.fanout_limit)
+                routed = route_plan(plan, self.owner)
+                coordinator = routed.coordinator
+            else:
+                routed = self._columns(binding).routed
+            cached = _QueryColumns(routed, coordinator, tuple(
+                self._batch(phase.requests, coordinator)
+                for phase in routed.phases))
+            self._compiled[key] = cached
         return cached
 
-    def _columns(self, binding: QueryBinding) -> _QueryColumns:
-        """Compile *binding*'s routed plan into fast-path columns."""
-        key = (binding.kind, binding.start_vertex, binding.target_vertex)
-        cached = self._columns_cache.get(key)
-        if cached is None:
-            routed = self._routed(binding)
-            model = self.cluster.model
-            workers = self.cluster.workers
-            half_rtt = model.network_rtt_seconds / 2
-            coordinator = routed.coordinator
-            coord_speed = workers[coordinator].speed
-            phases = []
-            for phase in routed.phases:
-                rows = []
-                total_reads = 0
-                remote_reads = 0
-                wire_bytes = 0.0
-                for worker_id, reads in phase.requests:
-                    remote = worker_id != coordinator
-                    service = (model.service_seconds(reads)
-                               / workers[worker_id].speed)
-                    rows.append((worker_id, reads, service,
-                                 half_rtt if remote else 0.0, remote))
-                    total_reads += reads
-                    if remote:
-                        remote_reads += reads
-                        wire_bytes += (BYTES_PER_REMOTE_REQUEST
-                                       + reads * BYTES_PER_VERTEX_RECORD)
-                merge = (model.coordinator_overhead_seconds
-                         + len(rows) * model.per_response_seconds) \
-                    / coord_speed
-                phases.append(_PhaseColumns(tuple(rows), len(rows),
-                                            total_reads, remote_reads,
-                                            wire_bytes, merge))
-            cached = _QueryColumns(routed.kind, coordinator, tuple(phases))
-            self._columns_cache[key] = cached
-        return cached
+    def _batch(self, requests, coordinator: int) -> _PhaseColumns:
+        """Compile ``(worker, reads)`` *requests* for *coordinator*."""
+        model = self.cluster.model
+        workers = self.cluster.workers
+        half_rtt = model.network_rtt_seconds / 2
+        rows = []
+        total_reads = 0
+        remote_reads = 0
+        wire_bytes = 0.0
+        for worker_id, reads in requests:
+            remote = worker_id != coordinator
+            service = model.service_seconds(reads) / workers[worker_id].speed
+            rows.append((worker_id, reads, service,
+                         half_rtt if remote else 0.0, remote))
+            total_reads += reads
+            if remote:
+                remote_reads += reads
+                wire_bytes += (BYTES_PER_REMOTE_REQUEST
+                               + reads * BYTES_PER_VERTEX_RECORD)
+        merge = (model.coordinator_overhead_seconds
+                 + len(rows) * model.per_response_seconds) \
+            / workers[coordinator].speed
+        return _PhaseColumns(tuple(rows), len(rows), total_reads,
+                             remote_reads, wire_bytes, merge)
 
     # ------------------------------------------------------------------
     def run(self, bindings: list[QueryBinding], *, duration: float = 2.0,
@@ -426,6 +431,10 @@ class ClosedLoopSimulation:
         plus once at the horizon, turning the run into a latency/
         throughput trajectory instead of one end-of-run aggregate.  A
         disabled (or absent) sampler adds zero registry calls.
+
+        Every argument is validated before anything is touched, so a
+        rejected call leaves the previous run's worker stats and the
+        caller's sampler as they were.
         """
         if not bindings:
             raise ConfigurationError("bindings must be non-empty")
@@ -438,17 +447,46 @@ class ClosedLoopSimulation:
             moving = np.asarray(migrating_vertices, dtype=np.int64)
             if moving.size:
                 migrating = frozenset(moving.tolist())
+        num_workers = self.cluster.num_workers
+        # Time-series sampling: tick the sampler at fixed simulated-time
+        # intervals inside the event loop.  Disabled/absent samplers cost
+        # nothing — not a single registry call.
+        sampling = sampler is not None and sampler.enabled
+        tick = 0.0
+        if sampling:
+            tick = duration / 10.0 if sample_interval is None \
+                else float(sample_interval)
+            if tick <= 0:
+                raise ConfigurationError("sample_interval must be positive")
+        background = []
+        if background_work:
+            for when, worker_id, seconds in background_work:
+                if seconds < 0 or when < 0:
+                    raise ConfigurationError(
+                        "background_work entries must have time >= 0 and "
+                        "seconds >= 0")
+                if not 0 <= int(worker_id) < num_workers:
+                    raise ConfigurationError(
+                        f"background_work worker {worker_id} outside the "
+                        f"{num_workers}-worker cluster")
+                background.append((float(when), int(worker_id),
+                                   float(seconds)))
+
         self.cluster.reset()
         model = self.cluster.model
         schedule = self.fault_schedule
         policy = self.retry_policy
-        #: The fault hooks below are exact no-ops when the schedule is
-        #: empty — guarded by ``faulty`` so a fault-free run performs the
-        #: *same arithmetic in the same order* as before fault injection
-        #: existed (the ChaosHarness invariant).
+        #: Every fault decision below is guarded by ``faulty``, so a run
+        #: with the empty schedule performs the *same arithmetic in the
+        #: same order* as one without fault injection (the ChaosHarness
+        #: invariant).
         faulty = not schedule.is_empty
         router = FailoverRouter(self.replica_map, schedule)
-        num_workers = self.cluster.num_workers
+        is_crashed = schedule.is_crashed
+        should_drop = schedule.should_drop
+        speed_factor = schedule.speed_factor
+        extra = schedule.extra_latency_seconds
+        timeout = policy.timeout_seconds
         num_clients = self.clients_per_worker * num_workers
         warmup = duration * warmup_fraction
         think = model.think_seconds
@@ -457,9 +495,8 @@ class ClosedLoopSimulation:
 
         events: list[tuple] = []
         heappush = heapq.heappush
-        sequence = itertools.count()
-        next_seq = sequence.__next__
-        request_ids = itertools.count()
+        next_seq = itertools.count().__next__
+        next_request_id = itertools.count().__next__
         retry_ids = itertools.count()
         binding_cursor = [int(i * len(bindings) / num_clients)
                           for i in range(num_clients)]
@@ -482,31 +519,20 @@ class ClosedLoopSimulation:
             if migrating is not None else None
         c_migration_busy = metrics.counter("db.migration.busy_seconds") \
             if background_work else None
-        # Time-series sampling: tick the sampler at fixed simulated-time
-        # intervals inside the event loop.  Disabled/absent samplers cost
-        # nothing — not a single registry call.
-        sampling = sampler is not None and sampler.enabled
-        tick = 0.0
-        next_tick = 0.0
+        next_tick = tick
         if sampling:
             sampler.registry = metrics
-            tick = duration / 10.0 if sample_interval is None \
-                else float(sample_interval)
-            if tick <= 0:
-                raise ConfigurationError("sample_interval must be positive")
-            next_tick = tick
         root_span = tracer.begin(
             "db.run", 0.0, parent=None,
             num_workers=num_workers,
             clients_per_worker=self.clients_per_worker,
             duration=duration) if tracing else 0
 
-        # Fast-path worker state: the FIFO-server clock and the per-run
-        # stat accumulators live in plain lists (folded back into
-        # ``Worker.stats`` after the loop).  Each worker's values see the
-        # same additions in the same event order as the scalar path, so
-        # the folded totals are bit-identical.
-        fast = not faulty
+        # Worker state: the FIFO-server clock and the per-run stat
+        # accumulators live in plain lists, folded into ``Worker.stats``
+        # after the loop.  Every stat starts at zero after ``reset`` and
+        # each list sees its additions in event order, so the folded
+        # totals equal per-event updates of the stats.
         workers = self.cluster.workers
         busy = [0.0] * num_workers
         st_requests = [0] * num_workers
@@ -514,19 +540,15 @@ class ClosedLoopSimulation:
         st_busy = [0.0] * num_workers
         st_remote = [0] * num_workers
 
-        def push(time: float, kind: int, payload) -> None:
-            heappush(events, (time, next_seq(), kind, payload))
-
         def next_binding(client: int) -> QueryBinding:
             index = binding_cursor[client]
             binding_cursor[client] = (index + 1) % len(bindings)
             return bindings[index]
 
-        # -- fault-free fast path ---------------------------------------
-        def start_query_fast(client: int, now: float) -> None:
+        def start_query(client: int, now: float) -> None:
             binding = next_binding(client)
             cols = self._columns(binding)
-            fq = _FastQuery(cols, client, now)
+            q = _QueryState(cols, client, now)
             if migrating is not None and binding.start_vertex in migrating:
                 # The start vertex is mid-migration (double-homed): the
                 # client's first request races the ownership handshake and
@@ -534,46 +556,111 @@ class ClosedLoopSimulation:
                 # once per query, at start — migration delays reads, it
                 # never drops them.
                 c_migration_waits.inc()
-                ready = now + migration_wait_seconds
                 if tracing:
                     tracer.point("db.migration.wait", now, parent=root_span,
                                  vertex=binding.start_vertex, client=client)
-                now = ready
+                now = now + migration_wait_seconds
             if tracing:
-                fq.span = tracer.begin(
+                q.span = tracer.begin(
                     "db.query", now, parent=root_span, kind=cols.kind,
                     client=client, coordinator=cols.coordinator)
-                tracer.point("db.route", now, parent=fq.span,
+                tracer.point("db.route", now, parent=q.span,
                              coordinator=cols.coordinator,
                              phases=cols.num_phases)
-            issue_phase_fast(fq, now)
+            if faulty:
+                coordinator = router.coordinator(cols.routed, now)
+                if coordinator is None:
+                    # The start vertex's whole replica chain is down: the
+                    # client cannot even open a session; it observes one
+                    # timeout deadline and gives the query up.
+                    if self.raise_on_failure:
+                        raise WorkerFailedError(
+                            f"entire replica chain of worker "
+                            f"{cols.coordinator} is down at t={now:.4f}s")
+                    q.failed = True
+                    heappush(events, (now + timeout, next_seq(), _ABORT, q))
+                    return
+                if coordinator != cols.coordinator:
+                    if tracing:
+                        tracer.point("db.failover", now, parent=q.span,
+                                     kind="coordinator",
+                                     primary=cols.coordinator,
+                                     replica=coordinator)
+                    q.cols = self._columns(binding, coordinator)
+            issue_phase(q, now)
 
-        def issue_phase_fast(fq: _FastQuery, now: float) -> None:
-            cols = fq.cols
-            phase = fq.phase
+        def issue_phase(q: _QueryState, now: float) -> None:
+            cols = q.cols
+            phase = q.phase
             while phase < cols.num_phases \
                     and cols.phases[phase].fanout == 0:
                 phase += 1
-            fq.phase = phase
-            if phase >= cols.num_phases:
-                finish_query_fast(fq, now)
+            q.phase = phase
+            if phase == cols.num_phases:
+                finish_query(q, now)
                 return
             pcols = cols.phases[phase]
             if tracing:
-                fq.hop_span = tracer.begin(
-                    "db.hop", now, parent=fq.span, phase=phase,
+                q.hop_span = tracer.begin(
+                    "db.hop", now, parent=q.span, phase=phase,
                     fanout=pcols.fanout)
-            # One pass over the phase's precompiled request columns.  The
-            # workers are pairwise distinct (route_plan groups by owner),
-            # so each request sees the server clock exactly as the scalar
-            # loop would.  The phase's m response events collapse into one
-            # _PHASE_SETTLED event at the last (time, seq); the m sequence
-            # numbers are still consumed so heap tie-breaking downstream
-            # is unchanged.
+            q.received = 0
+            q.outstanding = issue(q, pcols, now, None)
+
+        def issue(q: _QueryState, pcols: _PhaseColumns, now: float,
+                  retry: _Request | None) -> int:
+            """Issue one request batch — a phase's first attempt, or the
+            single request *retry* — and return how many settle events
+            it pushed: one ``_TIMEOUT`` per lost row, one ``_SETTLED``
+            for all served rows."""
+            attempt = 0 if retry is None else retry.attempt
+            total_reads = pcols.total_reads
+            remote_reads = pcols.remote_reads
+            wire_bytes = pcols.wire_bytes
+            lost = 0
             best_time = -1.0
             best_seq = 0
             for worker_id, reads, service, delta, remote in pcols.rows:
-                arrival = now + delta
+                # One sequence number per row, served or lost, as one
+                # event per request would consume them.
+                seq = next_seq()
+                if faulty:
+                    if remote:
+                        delta = delta + extra
+                    arrival = now + delta
+                    request_id = next_request_id()
+                    if is_crashed(worker_id, arrival):
+                        # The request reaches a dead machine: no response
+                        # will ever come; the client discovers this only
+                        # through its timeout deadline.
+                        reason = "crashed"
+                    elif should_drop(request_id):
+                        reason = "dropped"
+                        c_dropped.inc()
+                    else:
+                        reason = None
+                    if reason is not None:
+                        lost += 1
+                        total_reads -= reads
+                        if remote:
+                            remote_reads -= reads
+                            wire_bytes -= (BYTES_PER_REMOTE_REQUEST
+                                           + reads * BYTES_PER_VERTEX_RECORD)
+                        workers[worker_id].stats.requests_lost += 1
+                        if tracing:
+                            tracer.point("db.request.lost", now,
+                                         parent=q.hop_span, worker=worker_id,
+                                         reads=reads, attempt=attempt,
+                                         reason=reason)
+                        heappush(events, (
+                            now + timeout, seq, _TIMEOUT,
+                            retry or _Request(q, worker_id, reads, 0)))
+                        continue
+                    factor = speed_factor(worker_id, arrival)
+                    if factor != 1.0:
+                        service = service / factor
+                else:
+                    arrival = now + delta
                 server = busy[worker_id]
                 begin = arrival if arrival > server else server
                 completion = begin + service
@@ -584,7 +671,6 @@ class ClosedLoopSimulation:
                 if remote:
                     st_remote[worker_id] += 1
                 response = completion + delta
-                seq = next_seq()
                 if response >= best_time:
                     best_time = response
                     best_seq = seq
@@ -592,49 +678,125 @@ class ClosedLoopSimulation:
                     # The request's whole life is known analytically here,
                     # so the span is recorded at once: queueing is
                     # begin-arrival, service is completion-begin.
-                    rid = tracer.begin("db.request", now,
-                                       parent=fq.hop_span,
+                    rid = tracer.begin("db.request", now, parent=q.hop_span,
                                        worker=worker_id, reads=reads,
-                                       attempt=0, remote=remote,
+                                       attempt=attempt, remote=remote,
                                        queue_seconds=begin - arrival,
                                        service_seconds=service)
                     tracer.end(rid, response)
-            c_total.inc(pcols.total_reads)
-            if pcols.remote_reads:
-                c_remote.inc(pcols.remote_reads)
-                c_bytes.inc(pcols.wire_bytes)
-            heappush(events, (best_time, best_seq, _PHASE_SETTLED, fq))
+            served = len(pcols.rows) - lost
+            if not served:
+                return lost
+            q.received += served
+            c_total.inc(total_reads)
+            if remote_reads:
+                c_remote.inc(remote_reads)
+                c_bytes.inc(wire_bytes)
+            heappush(events, (best_time, best_seq, _SETTLED, q))
+            return lost + 1
 
-        def on_phase_settled(fq: _FastQuery, now: float) -> None:
+        def settle(q: _QueryState, now: float) -> None:
+            q.outstanding -= 1
+            if q.outstanding:
+                return
+            if q.failed:
+                if tracing:
+                    tracer.end(q.hop_span, now, status="failed")
+                fail_query(q, now)
+                return
             # Merge the phase's responses on the coordinator: this
             # occupies the coordinating worker's server, so hot
-            # coordinators queue up and wide fan-out costs CPU.
-            pcols = fq.cols.phases[fq.phase]
-            coordinator = fq.cols.coordinator
+            # coordinators queue up and wide fan-out costs CPU.  Charge
+            # only the responses that arrived.  (Every merge-reaching
+            # phase has them all today: a lost request either retries
+            # into a response or fails the query, which skips the merge.)
+            cols = q.cols
+            pcols = cols.phases[q.phase]
+            coordinator = cols.coordinator
             merge = pcols.merge_seconds
+            if q.received != pcols.fanout:
+                merge = (model.coordinator_overhead_seconds
+                         + q.received * model.per_response_seconds) \
+                    / workers[coordinator].speed
             server = busy[coordinator]
             begin = now if now > server else server
             done = begin + merge
             busy[coordinator] = done
             st_busy[coordinator] += merge
             if tracing:
-                tracer.end(fq.hop_span, done, status="ok",
+                tracer.end(q.hop_span, done, status="ok",
                            merge_seconds=merge)
-            fq.phase += 1
-            heappush(events, (done, next_seq(), _PHASE_DONE, fq))
+            q.phase += 1
+            heappush(events, (done, next_seq(), _PHASE_DONE, q))
 
-        def finish_query_fast(fq: _FastQuery, now: float) -> None:
+        def finish_query(q: _QueryState, now: float) -> None:
             if now >= warmup:
-                latencies.append(now - fq.started)
+                latencies.append(now - q.started)
                 c_completed.inc()
             if tracing:
-                tracer.end(fq.span, now, status="ok",
-                           latency_seconds=now - fq.started)
+                tracer.end(q.span, now, status="ok",
+                           latency_seconds=now - q.started)
             if now < duration:
-                heappush(events, (now + think, next_seq(), _START,
-                                  fq.client))
+                heappush(events, (now + think, next_seq(), _START, q.client))
 
-        def on_background_fast(payload, now: float) -> None:
+        def fail_query(q: _QueryState, now: float) -> None:
+            if self.raise_on_failure:
+                raise QueryTimeoutError(
+                    f"{q.cols.kind} query of client {q.client} "
+                    f"exhausted its {policy.max_retries}-retry budget at "
+                    f"t={now:.4f}s")
+            if now >= warmup:
+                c_failed.inc()
+            if tracing:
+                tracer.end(q.span, now, status="failed",
+                           latency_seconds=now - q.started)
+            if now < duration:
+                heappush(events, (now + think, next_seq(), _START, q.client))
+
+        def on_timeout(request: _Request, now: float) -> None:
+            q = request.state
+            c_timeouts.inc()
+            if tracing:
+                tracer.point("db.timeout", now, parent=q.hop_span,
+                             worker=request.primary,
+                             attempt=request.attempt)
+            if q.failed:
+                # The query already failed on another request: don't burn
+                # retries on it, just settle this one.
+                settle(q, now)
+                return
+            if request.attempt < policy.max_retries:
+                c_retries.inc()
+                delay = policy.backoff_seconds(
+                    request.attempt, schedule.jitter(next(retry_ids)))
+                if tracing:
+                    tracer.point("db.retry", now, parent=q.hop_span,
+                                 worker=request.primary,
+                                 attempt=request.attempt,
+                                 delay_seconds=delay)
+                request.attempt += 1
+                heappush(events, (now + delay, next_seq(), _RETRY, request))
+                return
+            q.failed = True
+            settle(q, now)
+
+        def on_retry(request: _Request, now: float) -> None:
+            # Failover: attempt n goes to replica n of the primary owner.
+            # The retry takes over its lost request's one settle event,
+            # so the phase's outstanding count does not change.
+            q = request.state
+            target = router.target(request.primary, request.attempt)
+            if tracing and target != request.primary:
+                tracer.point("db.failover", now, parent=q.hop_span,
+                             kind="request", primary=request.primary,
+                             replica=target, attempt=request.attempt)
+            issue(q, self._batch(((target, request.reads),),
+                                 q.cols.coordinator), now, request)
+
+        def on_background(payload, now: float) -> None:
+            # A migration batch occupies the worker's FIFO server like any
+            # storage request: queries queued behind it wait, which is the
+            # honest latency price of shipping vertex state.
             worker_id, seconds = payload
             server = busy[worker_id]
             begin = now if now > server else server
@@ -648,257 +810,13 @@ class ClosedLoopSimulation:
                 tracer.point("db.migration.batch", now, parent=root_span,
                              worker=worker_id, seconds=seconds)
 
-        # -- scalar path (fault injection active) -----------------------
-        def start_query(client: int, now: float) -> None:
-            binding = next_binding(client)
-            routed = self._routed(binding)
-            state = _QueryState(routed, client, now)
-            if migrating is not None and binding.start_vertex in migrating:
-                c_migration_waits.inc()
-                state.phase_ready = now + migration_wait_seconds
-                if tracing:
-                    tracer.point("db.migration.wait", now, parent=root_span,
-                                 vertex=binding.start_vertex, client=client)
-                now = state.phase_ready
-            if tracing:
-                state.span = tracer.begin(
-                    "db.query", now, parent=root_span, kind=routed.kind,
-                    client=client, coordinator=routed.coordinator)
-                tracer.point("db.route", now, parent=state.span,
-                             coordinator=routed.coordinator,
-                             phases=len(routed.phases))
-            coordinator = router.coordinator(routed, now)
-            if coordinator is None:
-                # The start vertex's whole replica chain is down: the
-                # client cannot even open a session; it observes one
-                # timeout deadline and gives the query up.
-                if self.raise_on_failure:
-                    raise WorkerFailedError(
-                        f"entire replica chain of worker "
-                        f"{routed.coordinator} is down at t={now:.4f}s")
-                state.failed = True
-                push(now + policy.timeout_seconds, _ABORT, state)
-                return
-            if tracing and coordinator != routed.coordinator:
-                tracer.point("db.failover", now, parent=state.span,
-                             kind="coordinator",
-                             primary=routed.coordinator,
-                             replica=coordinator)
-            state.coordinator = coordinator
-            issue_phase(state, now)
-
-        def issue_phase(state: _QueryState, now: float) -> None:
-            routed = state.routed
-            if state.phase >= len(routed.phases):
-                finish_query(state, now)
-                return
-            requests = routed.phases[state.phase].requests
-            if not requests:
-                state.phase += 1
-                issue_phase(state, now)
-                return
-            state.outstanding = len(requests)
-            state.received = 0
-            if tracing:
-                state.hop_span = tracer.begin(
-                    "db.hop", now, parent=state.span, phase=state.phase,
-                    fanout=len(requests))
-            for worker_id, reads in requests:
-                issue_request(state, worker_id, reads, now, 0)
-
-        def issue_request(state: _QueryState, primary: int, reads: int,
-                          now: float, attempt: int) -> None:
-            target = router.target(primary, attempt)
-            worker = workers[target]
-            remote = target != state.coordinator
-            extra = schedule.extra_latency_seconds if remote else 0.0
-            arrival = now + (model.network_rtt_seconds / 2 + extra
-                             if remote else 0.0)
-            if tracing and attempt > 0 and target != primary:
-                tracer.point("db.failover", now, parent=state.hop_span,
-                             kind="request", primary=primary,
-                             replica=target, attempt=attempt)
-            request_id = next(request_ids)
-            if schedule.is_crashed(target, arrival):
-                # The request reaches a dead machine: no response will
-                # ever come; the client discovers this only through
-                # its timeout deadline.
-                worker.stats.requests_lost += 1
-                if tracing:
-                    tracer.point("db.request.lost", now,
-                                 parent=state.hop_span, worker=target,
-                                 reads=reads, attempt=attempt,
-                                 reason="crashed")
-                push(now + policy.timeout_seconds, _TIMEOUT,
-                     _Request(state, primary, reads, attempt))
-                return
-            if schedule.should_drop(request_id):
-                c_dropped.inc()
-                worker.stats.requests_lost += 1
-                if tracing:
-                    tracer.point("db.request.lost", now,
-                                 parent=state.hop_span, worker=target,
-                                 reads=reads, attempt=attempt,
-                                 reason="dropped")
-                push(now + policy.timeout_seconds, _TIMEOUT,
-                     _Request(state, primary, reads, attempt))
-                return
-            service = worker.service_seconds(reads)
-            factor = schedule.speed_factor(target, arrival)
-            if factor != 1.0:
-                service = service / factor
-            begin = max(arrival, worker.busy_until)
-            completion = begin + service
-            worker.busy_until = completion
-            worker.stats.requests_served += 1
-            worker.stats.vertices_read += reads
-            worker.stats.busy_seconds += service
-            c_total.inc(reads)
-            if remote:
-                worker.stats.remote_requests += 1
-                c_remote.inc(reads)
-                c_bytes.inc(BYTES_PER_REMOTE_REQUEST
-                            + reads * BYTES_PER_VERTEX_RECORD)
-            response = completion + (model.network_rtt_seconds / 2 + extra
-                                     if remote else 0.0)
-            if tracing:
-                rid = tracer.begin("db.request", now, parent=state.hop_span,
-                                   worker=target, reads=reads,
-                                   attempt=attempt, remote=remote,
-                                   queue_seconds=begin - arrival,
-                                   service_seconds=service)
-                tracer.end(rid, response)
-            push(response, _RESPONSE, state)
-
-        def finish_query(state: _QueryState, now: float) -> None:
-            if now >= warmup:
-                latencies.append(now - state.started)
-                c_completed.inc()
-            if tracing:
-                tracer.end(state.span, now, status="ok",
-                           latency_seconds=now - state.started)
-            if now < duration:
-                push(now + think, _START, state.client)
-
-        def fail_query(state: _QueryState, now: float) -> None:
-            if self.raise_on_failure:
-                raise QueryTimeoutError(
-                    f"{state.routed.kind} query of client {state.client} "
-                    f"exhausted its {policy.max_retries}-retry budget at "
-                    f"t={now:.4f}s")
-            if now >= warmup:
-                c_failed.inc()
-            if tracing:
-                tracer.end(state.span, now, status="failed",
-                           latency_seconds=now - state.started)
-            if now < duration:
-                push(now + think, _START, state.client)
-
-        def request_settled(state: _QueryState, now: float,
-                            responded: bool) -> None:
-            if responded:
-                state.received += 1
-            state.outstanding -= 1
-            if state.outstanding != 0:
-                return
-            if state.failed:
-                if tracing:
-                    tracer.end(state.hop_span, now, status="failed")
-                fail_query(state, now)
-                return
-            # Merge the phase's responses on the coordinator: this
-            # occupies the coordinating worker's server, so hot
-            # coordinators queue up and wide fan-out costs CPU.  Charge
-            # only the responses that arrived — a request settled by its
-            # timeout deadline shipped nothing to merge.  (Today every
-            # merge-reaching phase has received == fan-out: a timeout
-            # settle either retries, which produces a response later, or
-            # marks the query failed, which skips the merge — so this is
-            # accounting hygiene, not a behaviour change.)
-            coordinator = workers[state.coordinator]
-            responses = state.received
-            merge = (model.coordinator_overhead_seconds
-                     + responses * model.per_response_seconds) \
-                / coordinator.speed
-            begin = max(now, coordinator.busy_until)
-            done = begin + merge
-            coordinator.busy_until = done
-            coordinator.stats.busy_seconds += merge
-            if tracing:
-                tracer.end(state.hop_span, done, status="ok",
-                           merge_seconds=merge)
-            state.phase += 1
-            push(done, _PHASE_DONE, state)
-
-        def on_timeout(request: _Request, now: float) -> None:
-            c_timeouts.inc()
-            if tracing:
-                tracer.point("db.timeout", now,
-                             parent=request.state.hop_span,
-                             worker=request.primary,
-                             attempt=request.attempt)
-            if request.state.failed:
-                # The query already failed on another request: don't burn
-                # retries on it, just settle this one.
-                request_settled(request.state, now, False)
-                return
-            if request.attempt < policy.max_retries:
-                c_retries.inc()
-                delay = policy.backoff_seconds(
-                    request.attempt, schedule.jitter(next(retry_ids)))
-                if tracing:
-                    tracer.point("db.retry", now,
-                                 parent=request.state.hop_span,
-                                 worker=request.primary,
-                                 attempt=request.attempt,
-                                 delay_seconds=delay)
-                request.attempt += 1
-                push(now + delay, _RETRY, request)
-                return
-            request.state.failed = True
-            request_settled(request.state, now, False)
-
-        def on_retry(request: _Request, now: float) -> None:
-            # Failover: attempt n goes to replica n of the primary owner.
-            issue_request(request.state, request.primary, request.reads,
-                          now, request.attempt)
-
-        def on_background(payload, now: float) -> None:
-            # A migration batch occupies the worker's FIFO server like any
-            # storage request: queries queued behind it wait, which is the
-            # honest latency price of shipping vertex state.
-            worker_id, seconds = payload
-            worker = workers[worker_id]
-            begin = max(now, worker.busy_until)
-            worker.busy_until = begin + seconds
-            worker.stats.busy_seconds += seconds
-            worker.stats.migration_seconds += seconds
-            worker.stats.migration_batches += 1
-            c_migration_busy.inc(seconds)
-            if tracing:
-                tracer.point("db.migration.batch", now, parent=root_span,
-                             worker=worker_id, seconds=seconds)
-
-        on_start = start_query_fast if fast else start_query
-        on_phase_advance = issue_phase_fast if fast else issue_phase
-        background_handler = on_background_fast if fast else on_background
-
         # Stagger client start-up across the first millisecond so the
         # initial burst does not synchronise queues artificially.
         for client in range(num_clients):
-            push(client * 1e-6, _START, client)
-        if background_work:
-            for when, worker_id, seconds in background_work:
-                if seconds < 0 or when < 0:
-                    raise ConfigurationError(
-                        "background_work entries must have time >= 0 and "
-                        "seconds >= 0")
-                if not 0 <= int(worker_id) < num_workers:
-                    raise ConfigurationError(
-                        f"background_work worker {worker_id} outside the "
-                        f"{num_workers}-worker cluster")
-                push(float(when), _BACKGROUND,
-                     (int(worker_id), float(seconds)))
+            heappush(events, (client * 1e-6, next_seq(), _START, client))
+        for when, worker_id, seconds in background:
+            heappush(events, (when, next_seq(), _BACKGROUND,
+                              (worker_id, seconds)))
 
         sanitizing = sanitize.ACTIVE
         last_event_time = 0.0
@@ -915,20 +833,18 @@ class ClosedLoopSimulation:
                     next_tick += tick
             if time_ > duration:
                 break
-            if kind == _PHASE_SETTLED:
-                on_phase_settled(payload, time_)
+            if kind == _SETTLED:
+                settle(payload, time_)
             elif kind == _PHASE_DONE:
-                on_phase_advance(payload, time_)
+                issue_phase(payload, time_)
             elif kind == _START:
-                on_start(payload, time_)
-            elif kind == _RESPONSE:
-                request_settled(payload, time_, True)
+                start_query(payload, time_)
             elif kind == _TIMEOUT:
                 on_timeout(payload, time_)
             elif kind == _RETRY:
                 on_retry(payload, time_)
             elif kind == _BACKGROUND:
-                background_handler(payload, time_)
+                on_background(payload, time_)
             else:  # _ABORT: the whole replica chain was down at start.
                 fail_query(payload, time_)
 
@@ -944,18 +860,13 @@ class ClosedLoopSimulation:
                 sampler.sample(next_tick)
                 next_tick += tick
 
-        if fast:
-            # Fold the fast-path accumulators into the worker stats; each
-            # target starts at zero, so the fold adds nothing numerically
-            # (0.0 + x == x) and the totals carry the event-order chains.
-            for worker_id in range(num_workers):
-                stats = workers[worker_id].stats
-                worker = workers[worker_id]
-                worker.busy_until = busy[worker_id]
-                stats.requests_served += st_requests[worker_id]
-                stats.vertices_read += st_reads[worker_id]
-                stats.busy_seconds += st_busy[worker_id]
-                stats.remote_requests += st_remote[worker_id]
+        for worker_id, worker in enumerate(workers):
+            stats = worker.stats
+            worker.busy_until = busy[worker_id]
+            stats.requests_served += st_requests[worker_id]
+            stats.vertices_read += st_reads[worker_id]
+            stats.busy_seconds += st_busy[worker_id]
+            stats.remote_requests += st_remote[worker_id]
         metrics.histogram("db.query.latency_seconds").observe_many(latencies)
         metrics.histogram("db.worker.vertices_read").observe_many(
             w.stats.vertices_read for w in workers)

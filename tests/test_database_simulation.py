@@ -1,5 +1,7 @@
 """Tests for the closed-loop discrete-event simulation."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from repro.database import (
 )
 from repro.errors import ConfigurationError
 from repro.partitioning import HashVertexPartitioner, LdgPartitioner
+from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.timeseries import TimeSeriesSampler
 
 
 @pytest.fixture(scope="module")
@@ -225,11 +229,24 @@ class TestMigrationHooks:
         graph, partition, bindings = sim_setup
         sim = ClosedLoopSimulation(graph, partition.assignment, 8,
                                    clients_per_worker=2)
+        sim.run(bindings, duration=0.4)
+        stats = [copy.copy(worker.stats) for worker in sim.cluster.workers]
+        registry = MetricsRegistry()
+        sampler = TimeSeriesSampler(registry)
         with pytest.raises(ConfigurationError):
-            sim.run(bindings, duration=0.4,
+            sim.run(bindings, duration=0.4, sampler=sampler,
                     background_work=[(-0.1, 0, 0.01)])
         with pytest.raises(ConfigurationError):
-            sim.run(bindings, duration=0.4,
+            sim.run(bindings, duration=0.4, sampler=sampler,
                     background_work=[(0.1, 99, 0.01)])
         with pytest.raises(ConfigurationError):
             sim.run(bindings, duration=0.4, migration_wait_seconds=-1.0)
+        with pytest.raises(ConfigurationError):
+            sim.run(bindings, duration=0.4, sampler=sampler,
+                    sample_interval=0.0)
+        # A rejected call touches nothing: the previous run's worker
+        # stats survive, and the caller's sampler keeps its registry.
+        assert [worker.stats for worker in sim.cluster.workers] == stats
+        assert stats[0].requests_served > 0
+        assert sampler.registry is registry
+        assert sampler.samples == []

@@ -82,7 +82,7 @@ class TestCompleteGrid:
         assert sampler.times() == [0.2, 0.25]
 
     def test_grid_survives_faults(self, cluster):
-        # Faults take the scalar event path; the drain sits after both.
+        # Lost requests add timeout/retry events; the drain is unchanged.
         sampler = run_sampled(
             cluster, duration=0.3, sample_interval=0.05,
             fault=FaultSchedule.single_crash(1, 0.0, 0.03, seed=3))

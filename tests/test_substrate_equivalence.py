@@ -1,20 +1,32 @@
-"""Vectorized substrates must match their frozen scalar references.
+"""Batched substrates must match their frozen scalar references.
 
-PR 5 established the ``_reference.py`` guard pattern for the streaming
-partitioners: snapshot the scalar loop verbatim, vectorize the
-production path, and hold the two byte-identical.  These tests apply the
-same guard to the two simulation substrates — the database's
-discrete-event loop (:mod:`repro.database._reference`) and the GAS
-analytics engine (:mod:`repro.analytics._reference`) — over everything a
-run reports: results, metric snapshots, span traces (ids, timestamps,
-call counts) and time-series samples.
+Each simulation substrate keeps a verbatim snapshot of its scalar loop
+in a ``_reference`` module — the database's discrete-event loop
+(:mod:`repro.database._reference`) and the GAS analytics engine
+(:mod:`repro.analytics._reference`).  These tests hold the production
+paths byte-identical to them over everything a run reports: results,
+metric snapshots, span traces (ids, timestamps, call counts) and
+time-series samples.
+
+The production DES has one event loop for faulty and fault-free runs.
+Each request batch — a phase's first attempt, or one retried request —
+is issued in one pass over its compiled rows, and its served responses
+collapse into one settle event.  That is exact because of two
+invariants: every fault decision (crash, drop, slowdown, extra latency)
+is made when a request is issued, and an intermediate response event
+has no side effect beyond decrementing a counter.  The DES scenarios
+therefore cover every fault the batched loop decides, alone and
+combined with migration work, tracing and sampling, against the
+reference's one-event-per-request loop.
 
 Known, deliberate divergences are covered by their own tests instead:
 
 * the sampler horizon-drain fix (``test_des_sampler_drain.py``) and the
   merge received-response accounting fix live only in the production
   loop — the reference keeps the pre-fix behaviour, and the scenarios
-  here do not reach either (both are latent in closed-loop runs).
+  here do not reach either (both are latent in closed-loop runs: a
+  closed loop never empties its heap, and a phase that reaches the
+  merge has received every response).
 """
 
 from __future__ import annotations
@@ -42,7 +54,12 @@ from repro.database import WorkloadGenerator
 from repro.database._reference import ReferenceClosedLoopSimulation
 from repro.database.cluster import ServiceModel
 from repro.database.simulation import ClosedLoopSimulation
-from repro.faults import FaultSchedule
+from repro.faults import (
+    CrashInterval,
+    FaultSchedule,
+    RetryPolicy,
+    SlowdownInterval,
+)
 from repro.graph.generators import erdos_renyi, ldbc_like
 from repro.partitioning.registry import make_seeded_partitioner
 from repro.telemetry import set_tracer
@@ -92,18 +109,60 @@ def des_digest(result, tracer, sampler):
     return digest
 
 
+CRASH = FaultSchedule.single_crash(1, 0.02, 0.1, seed=3)
+MIGRATION = {"background_work": [(0.02, 2, 0.01), (0.05, 5, 0.02)],
+             "migration_wait_seconds": 0.002}
+
+#: Each scenario: constructor kwargs (``ctor``), run kwargs (``run``),
+#: ``migrate_first`` (the first N bindings' start vertices are
+#: double-homed) and the ``tracing`` / ``sample`` switches.  The fault
+#: scenarios cover every per-request decision the batched loop takes:
+#: crash, seeded drop, extra latency, slowdown, coordinator failover, a
+#: whole-chain-down abort and retry exhaustion.
 DES_SCENARIOS = {
     "plain": {},
     "traced": {"tracing": True},
     "sampled": {"sample": True},
-    "heterogeneous": {"worker_speeds": [1.0, 0.5, 1.0, 2.0,
-                                        1.0, 1.0, 0.75, 1.0]},
-    "migration": {"run_kwargs": {
-        "background_work": [(0.02, 2, 0.01), (0.05, 5, 0.02)],
-        "migration_wait_seconds": 0.002,
-    }, "migrate_first": 20},
-    "crash": {"fault": True},
-    "crash+traced+sampled": {"fault": True, "tracing": True, "sample": True},
+    "heterogeneous": {"ctor": {"worker_speeds": [1.0, 0.5, 1.0, 2.0,
+                                                 1.0, 1.0, 0.75, 1.0]}},
+    "migration": {"run": MIGRATION, "migrate_first": 20},
+    "crash": {"ctor": {"fault_schedule": CRASH}},
+    "crash+traced+sampled": {"ctor": {"fault_schedule": CRASH},
+                             "tracing": True, "sample": True},
+    "drop": {"ctor": {"fault_schedule": FaultSchedule(
+        drop_probability=0.05, seed=9)}, "tracing": True},
+    "extra-latency": {"ctor": {"fault_schedule": FaultSchedule(
+        extra_latency_seconds=0.002, seed=1)}},
+    "slowdown": {"ctor": {"fault_schedule": FaultSchedule(slowdowns=(
+        SlowdownInterval(3, 0.04, 0.15, 0.4),
+        SlowdownInterval(3, 0.1, 0.2, 0.5)), seed=2)}},
+    # Worker 1 is down from the start: every query rooted there moves
+    # its coordinator to replica 2, which runs at another speed, so both
+    # the remote set and the merge cost change with the coordinator.
+    "coordinator-failover": {"ctor": {
+        "fault_schedule": FaultSchedule.single_crash(1, 0.0, 0.12, seed=4),
+        "worker_speeds": [1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0]},
+        "tracing": True},
+    # k_safety=1: there is no replica, so queries rooted on the crashed
+    # worker abort and requests to it exhaust their retries.
+    "chain-down-abort": {"ctor": {
+        "fault_schedule": FaultSchedule.single_crash(2, 0.03, 0.1, seed=5),
+        "k_safety": 1}, "tracing": True, "sample": True},
+    "retry-exhaustion": {"ctor": {
+        "fault_schedule": FaultSchedule(crashes=(
+            CrashInterval(4, 0.01, 0.2), CrashInterval(5, 0.01, 0.2)),
+            seed=6),
+        "retry_policy": RetryPolicy(timeout_seconds=0.01, max_retries=1,
+                                    backoff_base_seconds=0.002)},
+        "tracing": True},
+    "all-faults+migration+traced": {"ctor": {
+        "fault_schedule": FaultSchedule(
+            crashes=(CrashInterval(6, 0.05, 0.09),),
+            slowdowns=(SlowdownInterval(2, 0.0, 0.1, 0.5),),
+            drop_probability=0.03, extra_latency_seconds=0.001, seed=8),
+        "retry_policy": RetryPolicy(timeout_seconds=0.02, max_retries=2)},
+        "run": MIGRATION, "migrate_first": 20,
+        "tracing": True, "sample": True},
 }
 
 
@@ -112,16 +171,11 @@ def test_des_event_loop_matches_reference(des_setup, scenario):
     """Batched DES == frozen scalar DES, byte for byte, per scenario."""
     graph, partition, bindings = des_setup
     spec = DES_SCENARIOS[scenario]
-    run_kwargs = dict(spec.get("run_kwargs", {}))
+    run_kwargs = dict(spec.get("run", {}))
     if spec.get("migrate_first"):
         run_kwargs["migrating_vertices"] = [
             b.start_vertex for b in bindings[:spec["migrate_first"]]]
-    ctor_kwargs = {}
-    if "worker_speeds" in spec:
-        ctor_kwargs["worker_speeds"] = spec["worker_speeds"]
-    if spec.get("fault"):
-        ctor_kwargs["fault_schedule"] = FaultSchedule.single_crash(
-            1, 0.02, 0.1, seed=3)
+    ctor_kwargs = spec.get("ctor", {})
     digests = []
     for sim_cls in (ReferenceClosedLoopSimulation, ClosedLoopSimulation):
         tracer = Tracer(enabled=spec.get("tracing", False))
