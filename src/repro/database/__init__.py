@@ -14,6 +14,7 @@ from repro.database.mutations import (
 from repro.database.queries import (
     QUERY_KINDS,
     QueryPlan,
+    QueryPlanner,
     one_hop,
     plan_query,
     shortest_path,
@@ -46,6 +47,7 @@ from repro.faults import (
 
 __all__ = [
     "QueryPlan",
+    "QueryPlanner",
     "one_hop",
     "two_hop",
     "shortest_path",

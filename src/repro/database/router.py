@@ -55,11 +55,10 @@ def route_plan(plan: QueryPlan, vertex_owner: np.ndarray) -> RoutedQuery:
     coordinator = int(vertex_owner[plan.start_vertex])
     phases = []
     for phase_vertices in plan.phases:
-        owners = vertex_owner[phase_vertices]
-        workers, counts = np.unique(owners, return_counts=True)
+        counts = np.bincount(vertex_owner[phase_vertices])
+        workers = counts.nonzero()[0]
         phases.append(PhaseRequests(tuple(
-            (int(w), int(c)) for w, c in zip(workers.tolist(), counts.tolist())
-        )))
+            zip(workers.tolist(), counts[workers].tolist()))))
     return RoutedQuery(plan.kind, coordinator, tuple(phases))
 
 

@@ -32,17 +32,21 @@ small int — so ordering compares run in C instead of a dataclass
 Every run, with or without faults, goes through one loop with one
 handler per event kind.
 
-Each binding's routed plan is compiled once per *effective coordinator*
-into per-phase request rows (:class:`_PhaseColumns` — service times,
-network deltas, byte totals, merge cost); a failover coordinator gets
-its own compilation, because it changes which rows are remote.  A
-*request batch* — a phase's first attempt, or one retried request — is
-issued in one pass over its rows.  Every row consumes one sequence
-number.  Under a non-empty fault schedule a row also consumes a request
-id and takes its crash, drop, slowdown and extra-latency decisions, and
-a lost row pushes its ``_TIMEOUT``.  The served rows' response events
-collapse into one ``_SETTLED`` event at their lexicographically-last
-``(time, seq)``.
+A binding's query plan depends on the graph alone, so it comes from a
+per-graph :class:`~repro.database.queries.QueryPlanner`, which
+simulations of the same graph share (the experiments keep one per
+dataset).  Routing that plan against this instance's placement, and
+compiling it, stay per instance.  Each binding's routed plan is
+compiled once per *effective coordinator* into per-phase request rows
+(:class:`_PhaseColumns` — service times, network deltas, byte totals,
+merge cost); a failover coordinator gets its own compilation, because
+it changes which rows are remote.  A *request batch* — a phase's first
+attempt, or one retried request — is issued in one pass over its rows.
+Every row consumes one sequence number.  Under a non-empty fault
+schedule a row also consumes a request id and takes its crash, drop,
+slowdown and extra-latency decisions, and a lost row pushes its
+``_TIMEOUT``.  The served rows' response events collapse into one
+``_SETTLED`` event at their lexicographically-last ``(time, seq)``.
 
 The collapse is exact because of two invariants:
 
@@ -70,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.database.cluster import Cluster, ServiceModel
-from repro.database.queries import plan_query
+from repro.database.queries import QueryPlanner
 from repro.database.router import FailoverRouter, RoutedQuery, route_plan
 from repro.database.workload import QueryBinding
 from repro.errors import ConfigurationError, QueryTimeoutError, WorkerFailedError
@@ -295,9 +299,12 @@ class ClosedLoopSimulation:
         12 = the paper's medium load, 24 = high load.
     service_model:
         Cluster timing constants.
-    fanout_limit:
-        Optional 2-hop frontier cap (see :func:`repro.database.queries.
-        two_hop`).
+    planner:
+        The :class:`~repro.database.queries.QueryPlanner` of *graph* whose
+        memoised plans this simulation routes; share one across
+        simulations of the same graph to plan each binding once.
+        ``None`` builds a private planner with the default 2-hop
+        frontier cap.
     fault_schedule:
         Optional :class:`~repro.faults.FaultSchedule`.  ``None`` or the
         empty schedule leaves every result bit-identical to a run without
@@ -318,7 +325,7 @@ class ClosedLoopSimulation:
     def __init__(self, graph: Graph, vertex_owner, num_workers: int, *,
                  clients_per_worker: int = 12,
                  service_model: ServiceModel | None = None,
-                 fanout_limit: int | None = 64,
+                 planner: QueryPlanner | None = None,
                  worker_speeds=None,
                  fault_schedule: FaultSchedule | None = None,
                  retry_policy: RetryPolicy | None = None,
@@ -331,12 +338,18 @@ class ClosedLoopSimulation:
             raise ConfigurationError("vertex_owner contains invalid worker ids")
         if clients_per_worker < 1:
             raise ConfigurationError("clients_per_worker must be >= 1")
+        if planner is None:
+            planner = QueryPlanner(graph)
+        elif planner.graph is not graph:
+            raise ConfigurationError(
+                "planner was built for a different graph than the one "
+                "being simulated")
         self.graph = graph
         self.owner = owner
         self.cluster = Cluster(num_workers, owner, service_model,
                                worker_speeds=worker_speeds)
         self.clients_per_worker = clients_per_worker
-        self.fanout_limit = fanout_limit
+        self.planner = planner
         self.fault_schedule = fault_schedule or NO_FAULTS
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self.replica_map = ReplicaMap(num_workers,
@@ -356,10 +369,9 @@ class ClosedLoopSimulation:
         cached = self._compiled.get(key)
         if cached is None:
             if coordinator is None:
-                plan = plan_query(self.graph, binding.kind,
-                                  binding.start_vertex,
-                                  target_vertex=binding.target_vertex,
-                                  fanout_limit=self.fanout_limit)
+                plan = self.planner.plan(
+                    binding.kind, binding.start_vertex,
+                    target_vertex=binding.target_vertex)
                 routed = route_plan(plan, self.owner)
                 coordinator = routed.coordinator
             else:
@@ -904,7 +916,7 @@ class ClosedLoopSimulation:
 def simulate_workload(graph: Graph, partition, bindings, *,
                       clients_per_worker: int = 12, duration: float = 2.0,
                       service_model: ServiceModel | None = None,
-                      fanout_limit: int | None = 64,
+                      planner: QueryPlanner | None = None,
                       worker_speeds=None,
                       fault_schedule: FaultSchedule | None = None,
                       retry_policy: RetryPolicy | None = None,
@@ -927,7 +939,7 @@ def simulate_workload(graph: Graph, partition, bindings, *,
         graph, assignment, num_workers,
         clients_per_worker=clients_per_worker,
         service_model=service_model,
-        fanout_limit=fanout_limit,
+        planner=planner,
         worker_speeds=worker_speeds,
         fault_schedule=fault_schedule,
         retry_policy=retry_policy,

@@ -400,7 +400,7 @@ def ablation_fault_tolerance(ctx: ExperimentContext | None = None,
     # fault-free baseline bit-for-bit (raises on violation).
     ChaosHarness().verify_simulation(
         graph, ctx.online_partition(dataset, "ecr", num_workers), bindings,
-        duration=min(duration, 0.3))
+        duration=min(duration, 0.3), planner=ctx.planner(dataset))
     report.data["results"] = {"online": online, "offline": offline}
     report.add_note("Zero-fault schedule verified bit-identical to the "
                     "fault-free baseline (ChaosHarness).")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.database import plan_query, record_workload, simulate_workload
+from repro.database import record_workload, simulate_workload
 from repro.experiments.datasets import OFFLINE_DATASETS
 from repro.experiments.report import ExperimentReport, Table
 from repro.experiments.runner import PARTITION_SEED, ExperimentContext
@@ -304,14 +304,14 @@ def figure8(ctx: ExperimentContext | None = None, dataset: str = "ldbc-snb",
     """Fig. 8: workload-aware weighted partitioning (throughput + RSD)."""
     ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
+    planner = ctx.planner(dataset)
     bindings = ctx.bindings(dataset, "one_hop")
     report = ExperimentReport(
         "figure8",
         f"Workload-aware partitioning, 1-hop on {dataset}, {num_workers} workers",
     )
     # Record the access log of the same workload (the paper's method).
-    plans = [plan_query(graph, b.kind, b.start_vertex,
-                        target_vertex=b.target_vertex)
+    plans = [planner.plan(b.kind, b.start_vertex, target_vertex=b.target_vertex)
              for b in bindings]
     log = record_workload(graph, plans)
     weighted = workload_aware_partition(
@@ -334,6 +334,7 @@ def figure8(ctx: ExperimentContext | None = None, dataset: str = "ldbc-snb",
         graph, weighted, bindings,
         clients_per_worker=MEDIUM_LOAD_CLIENTS,
         duration=ctx.profile.sim_duration,
+        planner=planner,
     )))
     for label, result in results:
         rsd = relative_standard_deviation(result.read_distribution())

@@ -17,7 +17,9 @@ so warm re-runs skip all substrate computation, interrupted runs resume
 from completed artifacts, and parallel workers share one universe across
 process boundaries.  :meth:`placement` is derived data: it is rebuilt
 from the (cached) partition rather than stored, because pickling a
-placement would duplicate the whole graph into every blob.
+placement would duplicate the whole graph into every blob.  So is
+:meth:`planner`: one in-memory query planner per dataset, whose plans
+every simulation of that dataset shares.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.analytics import (
     WeaklyConnectedComponents,
 )
 from repro.analytics.result import AnalyticsRun
-from repro.database import WorkloadGenerator, simulate_workload
+from repro.database import QueryPlanner, WorkloadGenerator, simulate_workload
 from repro.experiments.datasets import (
     active_scale,
     load_dataset,
@@ -69,6 +71,7 @@ class ExperimentContext:
     _bindings: dict = field(default_factory=dict)
     _simulations: dict = field(default_factory=dict)
     _ingests: dict = field(default_factory=dict)
+    _planners: dict = field(default_factory=dict)
 
     @property
     def profile(self):
@@ -255,6 +258,16 @@ class ExperimentContext:
         return self._through_cache(self._bindings, key, "bindings",
                                    fields, compute)
 
+    def planner(self, dataset: str) -> QueryPlanner:
+        """The query planner every simulation of *dataset* shares.
+
+        Derived data, like :meth:`placement`, and in memory only: plans
+        never enter the artifact cache, a cache key or a digest.
+        """
+        if dataset not in self._planners:
+            self._planners[dataset] = QueryPlanner(self.graph(dataset))
+        return self._planners[dataset]
+
     def online_partition(self, dataset: str, algorithm: str,
                          k: int) -> VertexPartition:
         """Edge-cut partition for the database experiments (JanusGraph
@@ -305,6 +318,7 @@ class ExperimentContext:
                 self.bindings(dataset, kind),
                 clients_per_worker=clients_per_worker,
                 duration=duration,
+                planner=self.planner(dataset),
                 worker_speeds=speeds,
                 fault_schedule=fault_schedule,
             )

@@ -7,6 +7,7 @@ import pytest
 
 from repro.database import (
     ClosedLoopSimulation,
+    QueryPlanner,
     ServiceModel,
     WorkloadGenerator,
     simulate_workload,
@@ -169,6 +170,63 @@ class TestValidation:
                                    duration=0.2)
         assert result.num_workers == 8
         assert result.completed_queries > 0
+
+
+class TestSharedPlanner:
+    """One :class:`QueryPlanner` serves every placement of its graph."""
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert np.array_equal(a.latencies, b.latencies)
+        for name in ("vertices_read_per_worker", "requests_per_worker",
+                     "busy_seconds_per_worker", "requests_lost_per_worker"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.metrics.snapshot() == b.metrics.snapshot()
+
+    @pytest.mark.parametrize("ldg_first", [False, True])
+    def test_shared_planner_equals_fresh_planners(self, sim_setup,
+                                                  ldg_first):
+        graph, hashed, one_hop_bindings = sim_setup
+        bindings = one_hop_bindings[:100] + WorkloadGenerator(
+            graph, skew=0.5, seed=8).bindings("two_hop", 100)
+        clustered = LdgPartitioner(seed=0).partition(graph, 8,
+                                                     order="natural", seed=1)
+        placements = [clustered, hashed] if ldg_first else [hashed, clustered]
+        planner = QueryPlanner(graph)
+        for partition in placements:
+            shared = simulate_workload(graph, partition, bindings,
+                                       duration=0.3, planner=planner)
+            fresh = simulate_workload(graph, partition, bindings,
+                                      duration=0.3,
+                                      planner=QueryPlanner(graph))
+            private = simulate_workload(graph, partition, bindings,
+                                        duration=0.3)
+            self._assert_same(shared, fresh)
+            self._assert_same(shared, private)
+
+    def test_shared_phase_arrays_are_read_only(self, sim_setup):
+        graph, partition, bindings = sim_setup
+        planner = QueryPlanner(graph)
+        simulate_workload(graph, partition, bindings, duration=0.1,
+                          planner=planner)
+        plans = [planner.plan(b.kind, b.start_vertex) for b in bindings]
+        assert all(len(plan.phases) == 2 for plan in plans)
+        assert all(phase.flags.writeable is False
+                   for plan in plans for phase in plan.phases)
+        with pytest.raises(ValueError):
+            plans[0].phases[1][0] = 0
+
+    def test_planner_for_another_graph_rejected(self, sim_setup):
+        from repro.graph.generators import ldbc_like
+        graph, partition, bindings = sim_setup
+        other = QueryPlanner(ldbc_like(num_vertices=1500, avg_degree=12,
+                                       seed=43))
+        with pytest.raises(ConfigurationError, match="different graph"):
+            ClosedLoopSimulation(graph, partition.assignment, 8,
+                                 planner=other)
+        with pytest.raises(ConfigurationError, match="different graph"):
+            simulate_workload(graph, partition, bindings, duration=0.1,
+                              planner=other)
 
 
 class TestMigrationHooks:

@@ -119,6 +119,32 @@ class TestRunner:
         b = ctx.analytics_run("usa-road", "ecr", 4, "sssp")
         assert a is b
 
+    def test_simulations_share_one_uncached_planner(self, monkeypatch,
+                                                    tmp_path):
+        from repro.database import queries
+        from repro.orchestrator import ArtifactCache
+
+        planned = []
+        plan_query = queries.plan_query
+
+        def counting(graph, kind, start_vertex, **kwargs):
+            planned.append((kind, start_vertex))
+            return plan_query(graph, kind, start_vertex, **kwargs)
+
+        monkeypatch.setattr(queries, "plan_query", counting)
+        ctx = ExperimentContext(scale="quick", cache=ArtifactCache(tmp_path))
+        planner = ctx.planner("usa-road")
+        assert ctx.planner("usa-road") is planner
+        assert planner.graph is ctx.graph("usa-road")
+        for algorithm in ("ecr", "ldg"):
+            ctx.simulation("usa-road", algorithm, 4, "one_hop",
+                           clients_per_worker=2, duration=0.05)
+        # Each binding was planned once, for both placements.
+        assert planned and len(planned) == len(set(planned))
+        # Plans stay in memory: nothing but the artifacts is stored.
+        assert {entry["kind"] for entry in ctx.cache.index()} == \
+            {"partition", "bindings", "simulation"}
+
 
 class TestSeedRegistry:
     def test_flags_match_constructor_signatures(self):
