@@ -11,18 +11,36 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analytics import Placement
+from repro.experiments.datasets import ONLINE_DATASET
 from repro.experiments.report import ExperimentReport, Table
-from repro.experiments.runner import PARTITION_SEED, STREAM_ORDER, ExperimentContext
-from repro.metrics import edge_cut_ratio, partition_balance, replication_factor
-from repro.partitioning import (
-    FennelPartitioner,
-    GingerPartitioner,
-    GreedyVertexCutPartitioner,
-    HdrfPartitioner,
-    RestreamingLdgPartitioner,
+from repro.experiments.runner import (
+    MEDIUM_LOAD_CLIENTS,
+    PARTITION_SEED,
+    STREAM_ORDER,
+    ExperimentContext,
+    analytics_jobs,
+    dataset_jobs,
+    partition_jobs,
+    requires,
+    simulation_jobs,
 )
+from repro.metrics import edge_cut_ratio, partition_balance, replication_factor
+from repro.partitioning import ONLINE_ALGORITHMS, make_seeded_partitioner
+
+#: Each ablation's swept values or algorithms, in report order: its
+#: declaration and its loop both read them.
+STREAM_ORDERS = ("random", "bfs", "dfs")
+FENNEL_GAMMAS = (1.25, 1.5, 2.0, 3.0)
+HDRF_LAMBDAS = (0.5, 1.0, 1.1, 2.0, 10.0)
+GINGER_THRESHOLDS = (10, 50, 100, 500, 10**9)
+RESTREAM_PASSES = (1, 2, 3, 5, 10)
+FAULT_ONLINE_ALGORITHMS = ("ecr", "ldg", "fennel")
+FAULT_OFFLINE_ALGORITHMS = ("ecr", "ldg", "fennel", "hdrf")
+SENDER_SIDE_ALGORITHMS = ("ecr", "ldg", "vcr", "hdrf", "hcr")
 
 
+@requires(lambda profile: partition_jobs(
+    ["twitter"], ["greedy", "hdrf"], [16], orders=STREAM_ORDERS))
 def ablation_stream_order(ctx: ExperimentContext | None = None,
                           dataset: str = "twitter",
                           num_partitions: int = 16) -> ExperimentReport:
@@ -43,14 +61,11 @@ def ablation_stream_order(ctx: ExperimentContext | None = None,
         ["Order", "Greedy RF", "Greedy Balance", "HDRF RF", "HDRF Balance"],
     ))
     data = {}
-    for order in ("random", "bfs", "dfs"):
+    for order in STREAM_ORDERS:
         row = {}
-        for label, partitioner in (
-            ("greedy", GreedyVertexCutPartitioner(seed=PARTITION_SEED)),
-            ("hdrf", HdrfPartitioner(seed=PARTITION_SEED)),
-        ):
-            partition = partitioner.partition(graph, num_partitions,
-                                              order=order, seed=PARTITION_SEED)
+        for label in ("greedy", "hdrf"):
+            partition = ctx.partition(dataset, label, num_partitions,
+                                      order=order)
             row[label] = (replication_factor(graph, partition),
                           partition_balance(graph, partition))
         data[order] = row
@@ -63,6 +78,8 @@ def ablation_stream_order(ctx: ExperimentContext | None = None,
     return report
 
 
+@requires(lambda profile: partition_jobs(
+    ["twitter"], ["fennel"], [16], orders=["random"], gamma=FENNEL_GAMMAS))
 def ablation_fennel_gamma(ctx: ExperimentContext | None = None,
                           dataset: str = "twitter",
                           num_partitions: int = 16) -> ExperimentReport:
@@ -78,10 +95,9 @@ def ablation_fennel_gamma(ctx: ExperimentContext | None = None,
         ["Gamma", "EdgeCutRatio", "Balance"],
     ))
     data = {}
-    for gamma in (1.25, 1.5, 2.0, 3.0):
-        partition = FennelPartitioner(gamma=gamma, seed=PARTITION_SEED) \
-            .partition(graph, num_partitions, order="random",
-                       seed=PARTITION_SEED)
+    for gamma in FENNEL_GAMMAS:
+        partition = ctx.partition(dataset, "fennel", num_partitions,
+                                  order="random", gamma=gamma)
         data[gamma] = (edge_cut_ratio(graph, partition),
                        partition_balance(graph, partition))
         table.add_row(gamma, round(data[gamma][0], 3), round(data[gamma][1], 3))
@@ -89,6 +105,8 @@ def ablation_fennel_gamma(ctx: ExperimentContext | None = None,
     return report
 
 
+@requires(lambda profile: partition_jobs(
+    ["twitter"], ["hdrf"], [16], orders=["bfs"], balance_weight=HDRF_LAMBDAS))
 def ablation_hdrf_lambda(ctx: ExperimentContext | None = None,
                          dataset: str = "twitter",
                          num_partitions: int = 16) -> ExperimentReport:
@@ -104,9 +122,9 @@ def ablation_hdrf_lambda(ctx: ExperimentContext | None = None,
         ["Lambda", "ReplFactor", "Balance"],
     ))
     data = {}
-    for lam in (0.5, 1.0, 1.1, 2.0, 10.0):
-        partition = HdrfPartitioner(balance_weight=lam, seed=PARTITION_SEED) \
-            .partition(graph, num_partitions, order="bfs", seed=PARTITION_SEED)
+    for lam in HDRF_LAMBDAS:
+        partition = ctx.partition(dataset, "hdrf", num_partitions,
+                                  order="bfs", balance_weight=lam)
         data[lam] = (replication_factor(graph, partition),
                      partition_balance(graph, partition))
         table.add_row(lam, round(data[lam][0], 2), round(data[lam][1], 3))
@@ -116,6 +134,9 @@ def ablation_hdrf_lambda(ctx: ExperimentContext | None = None,
     return report
 
 
+@requires(lambda profile: partition_jobs(
+    ["twitter"], ["hg"], [16], orders=["random"],
+    degree_threshold=GINGER_THRESHOLDS))
 def ablation_ginger_threshold(ctx: ExperimentContext | None = None,
                               dataset: str = "twitter",
                               num_partitions: int = 16) -> ExperimentReport:
@@ -131,11 +152,9 @@ def ablation_ginger_threshold(ctx: ExperimentContext | None = None,
         ["Threshold", "ReplFactor", "Balance"],
     ))
     data = {}
-    for threshold in (10, 50, 100, 500, 10**9):
-        partition = GingerPartitioner(degree_threshold=threshold,
-                                      seed=PARTITION_SEED) \
-            .partition(graph, num_partitions, order="random",
-                       seed=PARTITION_SEED)
+    for threshold in GINGER_THRESHOLDS:
+        partition = ctx.partition(dataset, "hg", num_partitions,
+                                  order="random", degree_threshold=threshold)
         data[threshold] = (replication_factor(graph, partition),
                            partition_balance(graph, partition))
         table.add_row(threshold, round(data[threshold][0], 2),
@@ -146,6 +165,9 @@ def ablation_ginger_threshold(ctx: ExperimentContext | None = None,
     return report
 
 
+@requires(lambda profile: partition_jobs(["usa-road"], ["mts"], [16])
+          + partition_jobs(["usa-road"], ["re-ldg"], [16], orders=["random"],
+                           num_passes=RESTREAM_PASSES))
 def ablation_restreaming(ctx: ExperimentContext | None = None,
                          dataset: str = "usa-road",
                          num_partitions: int = 16) -> ExperimentReport:
@@ -161,11 +183,9 @@ def ablation_restreaming(ctx: ExperimentContext | None = None,
         ["Passes", "EdgeCutRatio"],
     ))
     data = {}
-    for passes in (1, 2, 3, 5, 10):
-        partition = RestreamingLdgPartitioner(num_passes=passes,
-                                              seed=PARTITION_SEED) \
-            .partition(graph, num_partitions, order="random",
-                       seed=PARTITION_SEED)
+    for passes in RESTREAM_PASSES:
+        partition = ctx.partition(dataset, "re-ldg", num_partitions,
+                                  order="random", num_passes=passes)
         data[passes] = edge_cut_ratio(graph, partition)
         table.add_row(passes, round(data[passes], 3))
     mts = ctx.partition(dataset, "mts", num_partitions)
@@ -178,8 +198,10 @@ def ablation_restreaming(ctx: ExperimentContext | None = None,
     return report
 
 
+@requires(lambda profile: partition_jobs([ONLINE_DATASET], ["ldg", "mts"],
+                                          [16]))
 def ablation_dynamic_updates(ctx: ExperimentContext | None = None,
-                             dataset: str = "ldbc-snb",
+                             dataset: str = ONLINE_DATASET,
                              num_partitions: int = 16,
                              growth_fraction: float = 0.2) -> ExperimentReport:
     """Dynamic graphs: how a partitioning ages and how refinement helps.
@@ -207,8 +229,7 @@ def ablation_dynamic_updates(ctx: ExperimentContext | None = None,
     stale = LdgPartitioner(seed=PARTITION_SEED).partition(
         base_graph, num_partitions, order=STREAM_ORDER, seed=PARTITION_SEED)
     refreshed = hermes_refine(graph, stale, seed=PARTITION_SEED)
-    restreamed = LdgPartitioner(seed=PARTITION_SEED).partition(
-        graph, num_partitions, order=STREAM_ORDER, seed=PARTITION_SEED)
+    restreamed = ctx.partition(dataset, "ldg", num_partitions)
     offline = ctx.partition(dataset, "mts", num_partitions)
 
     report = ExperimentReport(
@@ -233,8 +254,11 @@ def ablation_dynamic_updates(ctx: ExperimentContext | None = None,
     return report
 
 
+@requires(lambda profile: simulation_jobs(
+    [ONLINE_DATASET], ONLINE_ALGORITHMS, [16], ["one_hop"],
+    [MEDIUM_LOAD_CLIENTS]))
 def ablation_straggler(ctx: ExperimentContext | None = None,
-                       dataset: str = "ldbc-snb", num_workers: int = 16,
+                       dataset: str = ONLINE_DATASET, num_workers: int = 16,
                        slow_factor: float = 0.4) -> ExperimentReport:
     """Failure injection: one worker degrades to ``slow_factor`` speed.
 
@@ -256,16 +280,18 @@ def ablation_straggler(ctx: ExperimentContext | None = None,
         ["Algorithm", "Healthy p99", "Straggler p99", "Blowup"],
     ))
     data = {}
-    for algorithm in ("ecr", "ldg", "fennel", "mts"):
+    for algorithm in ONLINE_ALGORITHMS:
         healthy = ctx.simulation(dataset, algorithm, num_workers, "one_hop",
-                                 clients_per_worker=12)
+                                 clients_per_worker=MEDIUM_LOAD_CLIENTS)
         # Degrade the worker that serves the most reads — the worst case
         # the operator cares about.
         hot_worker = int(np.argmax(healthy.read_distribution()))
         speeds = [1.0] * num_workers
         speeds[hot_worker] = slow_factor
+        # Derived from the healthy run: computed here, not planned.
         degraded = ctx.simulation(dataset, algorithm, num_workers, "one_hop",
-                                  clients_per_worker=12, worker_speeds=speeds)
+                                  clients_per_worker=MEDIUM_LOAD_CLIENTS,
+                                  worker_speeds=speeds)
         h_p99 = healthy.latency().p99 * 1e3
         d_p99 = degraded.latency().p99 * 1e3
         data[algorithm] = (h_p99, d_p99)
@@ -278,8 +304,12 @@ def ablation_straggler(ctx: ExperimentContext | None = None,
     return report
 
 
+@requires(lambda profile: dataset_jobs(ONLINE_DATASET) + simulation_jobs(
+    [ONLINE_DATASET], FAULT_ONLINE_ALGORITHMS, [16], ["one_hop"],
+    [MEDIUM_LOAD_CLIENTS]) + analytics_jobs(
+    [ONLINE_DATASET], FAULT_OFFLINE_ALGORITHMS, [16], ["pagerank"]))
 def ablation_fault_tolerance(ctx: ExperimentContext | None = None,
-                             dataset: str = "ldbc-snb",
+                             dataset: str = ONLINE_DATASET,
                              num_workers: int = 16) -> ExperimentReport:
     """Fault injection on both substrates: availability and recovery cost.
 
@@ -337,11 +367,12 @@ def ablation_fault_tolerance(ctx: ExperimentContext | None = None,
          "Healthy p99", "Faulted p99"],
     ))
     online = {}
-    for algorithm in ("ecr", "ldg", "fennel"):
+    # The faulted runs use a schedule built here: computed, not planned.
+    for algorithm in FAULT_ONLINE_ALGORITHMS:
         healthy = ctx.simulation(dataset, algorithm, num_workers, "one_hop",
-                                 clients_per_worker=12)
+                                 clients_per_worker=MEDIUM_LOAD_CLIENTS)
         faulted = ctx.simulation(dataset, algorithm, num_workers, "one_hop",
-                                 clients_per_worker=12,
+                                 clients_per_worker=MEDIUM_LOAD_CLIENTS,
                                  fault_schedule=schedule)
         online[algorithm] = {
             "availability": faulted.availability,
@@ -373,7 +404,7 @@ def ablation_fault_tolerance(ctx: ExperimentContext | None = None,
          "RecoveryMs", "Slowdown"],
     ))
     offline = {}
-    for algorithm in ("ecr", "ldg", "fennel", "hdrf"):
+    for algorithm in FAULT_OFFLINE_ALGORITHMS:
         healthy = ctx.analytics_run(dataset, algorithm, num_workers,
                                     "pagerank")
         faulted = ctx.analytics_run(dataset, algorithm, num_workers,
@@ -411,6 +442,7 @@ def ablation_fault_tolerance(ctx: ExperimentContext | None = None,
     return report
 
 
+@requires(lambda profile: dataset_jobs("twitter"))
 def ablation_partitioning_cost(ctx: ExperimentContext | None = None,
                                dataset: str = "twitter",
                                num_partitions: int = 16) -> ExperimentReport:
@@ -425,8 +457,6 @@ def ablation_partitioning_cost(ctx: ExperimentContext | None = None,
     import time
     import tracemalloc
 
-    from repro.experiments.runner import ExperimentContext as _Ctx
-
     ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
     report = ExperimentReport(
@@ -439,8 +469,9 @@ def ablation_partitioning_cost(ctx: ExperimentContext | None = None,
         ["Algorithm", "Seconds", "Peak MB", "Edges/s"],
     ))
     data = {}
+    # Fresh runs, not ctx.partition: this experiment times the calls.
     for algorithm in ("ecr", "ldg", "fennel", "hdrf", "hg", "mts"):
-        partitioner = _Ctx._make(algorithm)
+        partitioner = make_seeded_partitioner(algorithm, PARTITION_SEED)
         tracemalloc.start()
         started = time.time()
         partitioner.partition(graph, num_partitions, order=STREAM_ORDER,
@@ -459,6 +490,8 @@ def ablation_partitioning_cost(ctx: ExperimentContext | None = None,
     return report
 
 
+@requires(lambda profile: partition_jobs(["twitter"], SENDER_SIDE_ALGORITHMS,
+                                          [16]))
 def ablation_sender_side_aggregation(ctx: ExperimentContext | None = None,
                                      dataset: str = "twitter",
                                      num_partitions: int = 16) -> ExperimentReport:
@@ -480,7 +513,7 @@ def ablation_sender_side_aggregation(ctx: ExperimentContext | None = None,
         ["Algorithm", "Out-edge mirrors", "All mirrors", "Saving"],
     ))
     data = {}
-    for algorithm in ("ecr", "ldg", "vcr", "hdrf", "hcr"):
+    for algorithm in SENDER_SIDE_ALGORITHMS:
         placement = Placement(graph, ctx.partition(dataset, algorithm,
                                                    num_partitions))
         out_updates = int(placement.mirror_counts_out.sum())

@@ -162,7 +162,7 @@ def _run_experiments(names, scale, tracer) -> int:
 # run-all: the orchestrated path
 # ----------------------------------------------------------------------
 def _run_all_command(argv) -> int:
-    from repro.errors import OrchestratorError
+    from repro.errors import ConfigurationError, OrchestratorError
     from repro.orchestrator import ArtifactCache, run_experiments
 
     parser = argparse.ArgumentParser(
@@ -206,6 +206,9 @@ def _run_all_command(argv) -> int:
     try:
         result = run_experiments(names, scale=args.scale, jobs=args.jobs,
                                  cache=cache, progress=progress)
+    except ConfigurationError as error:
+        print(f"run-all: {error}", file=sys.stderr)
+        return 2
     except OrchestratorError as error:
         print(f"orchestrator error: {error}", file=sys.stderr)
         return 1

@@ -30,6 +30,8 @@ from repro.graph.generators import ldbc_like, road_like, twitter_like, web_like
 DATASETS = ("twitter", "uk-web", "usa-road", "ldbc-snb")
 #: Datasets used in the offline-analytics experiments (Table 2).
 OFFLINE_DATASETS = ("twitter", "uk-web", "usa-road")
+#: The dataset the online (database) experiments run on.
+ONLINE_DATASET = "ldbc-snb"
 SCALES = ("quick", "default", "large")
 
 #: Fixed generator seed per dataset so every experiment sees the same graph.

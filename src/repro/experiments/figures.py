@@ -10,9 +10,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.database import record_workload, simulate_workload
-from repro.experiments.datasets import OFFLINE_DATASETS
+from repro.experiments.datasets import OFFLINE_DATASETS, ONLINE_DATASET
 from repro.experiments.report import ExperimentReport, Table
-from repro.experiments.runner import PARTITION_SEED, ExperimentContext
+from repro.experiments.runner import (
+    HIGH_LOAD_CLIENTS,
+    MEDIUM_LOAD_CLIENTS,
+    OFFLINE_WORKLOADS,
+    PARTITION_SEED,
+    ExperimentContext,
+    analytics_jobs,
+    partition_jobs,
+    requires,
+    simulation_jobs,
+)
 from repro.graph.analysis import classify_graph
 from repro.metrics import edge_cut_ratio, relative_standard_deviation, summarize
 from repro.partitioning import (
@@ -23,14 +33,24 @@ from repro.partitioning import (
 )
 from repro.partitioning.workload_aware import workload_aware_partition
 
-OFFLINE_WORKLOADS = ("pagerank", "wcc", "sssp")
-MEDIUM_LOAD_CLIENTS = 12
-HIGH_LOAD_CLIENTS = 24
+#: Fig. 9's tree selects among *streaming* algorithms; MTS is the offline
+#: baseline and needs a pre-processing pass, so it is out of scope.
+STREAMING_ALGORITHMS = tuple(a for a in OFFLINE_ALGORITHMS if a != "mts")
+#: Fig. 12's fixed client population.
+TOTAL_CLIENTS = 192
+
+
+def _mid_cluster(profile) -> int:
+    """Fig. 9's cluster size: the largest offline k but one."""
+    return max(profile.offline_partitions[:-1])
 
 
 # ----------------------------------------------------------------------
 # Offline analytics figures
 # ----------------------------------------------------------------------
+@requires(lambda profile: analytics_jobs(
+    ["twitter"], OFFLINE_ALGORITHMS, profile.offline_partitions,
+    OFFLINE_WORKLOADS))
 def figure1(ctx: ExperimentContext | None = None,
             dataset: str = "twitter") -> ExperimentReport:
     """Fig. 1: replication factor vs total network I/O per cut model."""
@@ -81,6 +101,8 @@ def figure1(ctx: ExperimentContext | None = None,
     return report
 
 
+@requires(lambda profile: partition_jobs(
+    OFFLINE_DATASETS, OFFLINE_ALGORITHMS, profile.offline_partitions))
 def figure2(ctx: ExperimentContext | None = None) -> ExperimentReport:
     """Fig. 2: replication factor of every algorithm / dataset / k."""
     ctx = ctx or ExperimentContext()
@@ -109,6 +131,9 @@ def figure2(ctx: ExperimentContext | None = None) -> ExperimentReport:
     return report
 
 
+@requires(lambda profile: analytics_jobs(
+    ["twitter"], OFFLINE_ALGORITHMS, profile.offline_partitions,
+    OFFLINE_WORKLOADS))
 def figure3(ctx: ExperimentContext | None = None,
             dataset: str = "twitter") -> ExperimentReport:
     """Fig. 3: execution time of PR / WCC / SSSP across cluster sizes."""
@@ -137,6 +162,9 @@ def figure3(ctx: ExperimentContext | None = None,
     return report
 
 
+@requires(lambda profile: analytics_jobs(
+    OFFLINE_DATASETS, OFFLINE_ALGORITHMS, [max(profile.offline_partitions)],
+    ["pagerank"]))
 def figure4(ctx: ExperimentContext | None = None,
             num_partitions: int | None = None) -> ExperimentReport:
     """Fig. 4: per-machine computation time distribution during PageRank."""
@@ -168,6 +196,9 @@ def figure4(ctx: ExperimentContext | None = None,
     return report
 
 
+@requires(lambda profile: analytics_jobs(
+    OFFLINE_DATASETS, OFFLINE_ALGORITHMS, profile.offline_partitions,
+    OFFLINE_WORKLOADS))
 def figure13(ctx: ExperimentContext | None = None) -> ExperimentReport:
     """Fig. 13: the full offline grid (all datasets x workloads x k)."""
     ctx = ctx or ExperimentContext()
@@ -197,8 +228,11 @@ def figure13(ctx: ExperimentContext | None = None) -> ExperimentReport:
 # ----------------------------------------------------------------------
 # Online query figures
 # ----------------------------------------------------------------------
+@requires(lambda profile: simulation_jobs(
+    [ONLINE_DATASET], ONLINE_ALGORITHMS, profile.online_partitions,
+    ["one_hop"], [MEDIUM_LOAD_CLIENTS]))
 def figure5(ctx: ExperimentContext | None = None,
-            dataset: str = "ldbc-snb") -> ExperimentReport:
+            dataset: str = ONLINE_DATASET) -> ExperimentReport:
     """Fig. 5: edge-cut ratio vs network I/O for the 1-hop workload."""
     ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
@@ -235,8 +269,11 @@ def figure5(ctx: ExperimentContext | None = None,
     return report
 
 
+@requires(lambda profile: simulation_jobs(
+    [ONLINE_DATASET], ONLINE_ALGORITHMS, profile.online_partitions,
+    ["one_hop", "two_hop"], [MEDIUM_LOAD_CLIENTS, HIGH_LOAD_CLIENTS]))
 def figure6(ctx: ExperimentContext | None = None,
-            dataset: str = "ldbc-snb") -> ExperimentReport:
+            dataset: str = ONLINE_DATASET) -> ExperimentReport:
     """Fig. 6: aggregate throughput, 1-hop & 2-hop, medium & high load."""
     ctx = ctx or ExperimentContext()
     report = ExperimentReport(
@@ -267,7 +304,11 @@ def figure6(ctx: ExperimentContext | None = None,
     return report
 
 
-def figure7(ctx: ExperimentContext | None = None, dataset: str = "ldbc-snb",
+@requires(lambda profile: simulation_jobs(
+    [ONLINE_DATASET], ONLINE_ALGORITHMS, [16], ["one_hop"],
+    [MEDIUM_LOAD_CLIENTS]))
+def figure7(ctx: ExperimentContext | None = None,
+            dataset: str = ONLINE_DATASET,
             num_workers: int = 16) -> ExperimentReport:
     """Fig. 7: per-worker vertex reads during the 1-hop workload."""
     ctx = ctx or ExperimentContext()
@@ -299,7 +340,11 @@ def figure7(ctx: ExperimentContext | None = None, dataset: str = "ldbc-snb",
     return report
 
 
-def figure8(ctx: ExperimentContext | None = None, dataset: str = "ldbc-snb",
+@requires(lambda profile: simulation_jobs(
+    [ONLINE_DATASET], ONLINE_ALGORITHMS, [16], ["one_hop"],
+    [MEDIUM_LOAD_CLIENTS]))
+def figure8(ctx: ExperimentContext | None = None,
+            dataset: str = ONLINE_DATASET,
             num_workers: int = 16) -> ExperimentReport:
     """Fig. 8: workload-aware weighted partitioning (throughput + RSD)."""
     ctx = ctx or ExperimentContext()
@@ -347,8 +392,13 @@ def figure8(ctx: ExperimentContext | None = None, dataset: str = "ldbc-snb",
     return report
 
 
-def figure12(ctx: ExperimentContext | None = None, dataset: str = "ldbc-snb",
-             total_clients: int = 192) -> ExperimentReport:
+@requires(lambda profile: [
+    job for k in profile.online_partitions
+    for job in simulation_jobs([ONLINE_DATASET], ONLINE_ALGORITHMS, [k],
+                               ["one_hop"], [max(1, TOTAL_CLIENTS // k)])])
+def figure12(ctx: ExperimentContext | None = None,
+             dataset: str = ONLINE_DATASET,
+             total_clients: int = TOTAL_CLIENTS) -> ExperimentReport:
     """Fig. 12: fixed client population, growing cluster size."""
     ctx = ctx or ExperimentContext()
     report = ExperimentReport(
@@ -378,6 +428,9 @@ def figure12(ctx: ExperimentContext | None = None, dataset: str = "ldbc-snb",
     return report
 
 
+@requires(lambda profile: simulation_jobs(
+    OFFLINE_DATASETS, ONLINE_ALGORITHMS, [16], ["one_hop"],
+    [MEDIUM_LOAD_CLIENTS, HIGH_LOAD_CLIENTS]))
 def figure14(ctx: ExperimentContext | None = None,
              num_workers: int = 16) -> ExperimentReport:
     """Fig. 14: 1-hop throughput on the real-world-like graphs."""
@@ -407,6 +460,9 @@ def figure14(ctx: ExperimentContext | None = None,
     return report
 
 
+@requires(lambda profile: simulation_jobs(
+    OFFLINE_DATASETS, ONLINE_ALGORITHMS, [16], ["one_hop"],
+    [MEDIUM_LOAD_CLIENTS]))
 def figure15(ctx: ExperimentContext | None = None,
              num_workers: int = 16) -> ExperimentReport:
     """Fig. 15: per-worker read distributions on the real-world-like graphs."""
@@ -444,6 +500,9 @@ def figure15(ctx: ExperimentContext | None = None,
 # ----------------------------------------------------------------------
 # Figure 9: the decision tree, checked against measurements
 # ----------------------------------------------------------------------
+@requires(lambda profile: analytics_jobs(
+    OFFLINE_DATASETS, STREAMING_ALGORITHMS, [_mid_cluster(profile)],
+    ["pagerank"]))
 def figure9(ctx: ExperimentContext | None = None) -> ExperimentReport:
     """Fig. 9: decision-tree recommendations vs measured winners."""
     ctx = ctx or ExperimentContext()
@@ -455,17 +514,14 @@ def figure9(ctx: ExperimentContext | None = None) -> ExperimentReport:
         ["Scenario", "Recommended", "Measured best", "Consistent"],
     ))
     data = []
-    k = max(ctx.profile.offline_partitions[:-1])  # a mid/large cluster size
-    # The tree selects among *streaming* algorithms; MTS is the offline
-    # baseline and needs a pre-processing pass, so it is out of scope.
-    streaming = [a for a in OFFLINE_ALGORITHMS if a != "mts"]
+    k = _mid_cluster(ctx.profile)
     for dataset in OFFLINE_DATASETS:
         graph_type = classify_graph(ctx.graph(dataset))
         rec = recommend("analytics", graph_type=graph_type)
         timings = {
             algorithm: ctx.analytics_run(dataset, algorithm, k, "pagerank")
             .execution_seconds
-            for algorithm in streaming
+            for algorithm in STREAMING_ALGORITHMS
         }
         best = min(timings, key=timings.get)
         # "Consistent" means the recommendation is within 25% of the best

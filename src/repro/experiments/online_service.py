@@ -13,7 +13,8 @@ read loss at zero throughout.
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentReport, Table
-from repro.experiments.runner import ExperimentContext
+from repro.experiments.datasets import ONLINE_DATASET
+from repro.experiments.runner import ExperimentContext, dataset_jobs, requires
 from repro.service.config import ServiceConfig
 from repro.service.core import PartitionedGraphService
 
@@ -39,8 +40,11 @@ def _service_config(num_vertices: int, *, budget: int | None) -> ServiceConfig:
     )
 
 
+# The service derives everything else (partitions, traffic, simulations)
+# from its own seeds; only the base graph is a plannable artifact.
+@requires(lambda profile: dataset_jobs(ONLINE_DATASET))
 def online_service(ctx: ExperimentContext | None = None,
-                   dataset: str = "ldbc-snb") -> ExperimentReport:
+                   dataset: str = ONLINE_DATASET) -> ExperimentReport:
     """Drift -> bounded migration -> recovery, across budget policies."""
     ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)

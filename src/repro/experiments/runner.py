@@ -7,7 +7,7 @@ profile, and the seeds, so a full `run_all` regenerates every table and
 figure from one consistent universe — the paper's "same partitions across
 all experiments" methodology.
 
-The context has two cache tiers.  The in-memory dictionaries give the
+The context has two cache tiers.  The in-memory memo gives the
 historical behaviour: within one process, one universe of partitionings.
 When a :class:`~repro.orchestrator.ArtifactCache` is attached (the
 ``repro run-all`` path — see ``docs/orchestrator.md``), every expensive
@@ -20,11 +20,16 @@ from the (cached) partition rather than stored, because pickling a
 placement would duplicate the whole graph into every blob.  So is
 :meth:`planner`: one in-memory query planner per dataset, whose plans
 every simulation of that dataset shares.
+
+Each experiment also declares, beside it, the artifacts it reads
+(:func:`requires`); the orchestrator plans exactly those as jobs.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from itertools import product
 
 from repro.analytics import (
     DEFAULT_COST_MODEL,
@@ -51,6 +56,65 @@ PARTITION_SEED = 1301
 #: serialisation order, which carries locality for road/web graphs — the
 #: same situation as the paper's bulk loads from disk.
 STREAM_ORDER = "natural"
+#: The offline analytics workloads (Table 2), in report order.
+OFFLINE_WORKLOADS = ("pagerank", "wcc", "sssp")
+#: Clients per worker of the two online load scenarios (Section 6.3.2).
+MEDIUM_LOAD_CLIENTS = 12
+HIGH_LOAD_CLIENTS = 24
+
+
+# ----------------------------------------------------------------------
+# Artifact declarations, read by repro.orchestrator.dag.build_plan.  A
+# job's params are the keyword arguments of the context method that
+# builds it; each helper plans one job per combination of its lists.
+# ----------------------------------------------------------------------
+def requires(spec):
+    """Declare beside an experiment the artifacts it reads.
+
+    *spec* maps a scale profile to ``(kind, params)`` jobs.  It is stored
+    as the experiment's ``requirements`` attribute, which
+    ``functools.wraps`` copies to a wrapper.
+    """
+    def declare(experiment):
+        experiment.requirements = spec
+        return experiment
+    return declare
+
+
+def _jobs(artifact: str, /, **axes) -> list:
+    return [(artifact, dict(zip(axes, values)))
+            for values in product(*axes.values())]
+
+
+def dataset_jobs(*names) -> list:
+    return _jobs("dataset", dataset=names)
+
+
+def partition_jobs(datasets, algorithms, ks, orders=(STREAM_ORDER,),
+                   **params) -> list:
+    """Each keyword lists one partitioner parameter's values.  A job with
+    the default order and no parameters plans as ``(dataset, algorithm, k)``."""
+    names = sorted(params)
+    settings = [dict(zip(names, values))
+                for values in product(*(params[name] for name in names))]
+    jobs = _jobs("partition", dataset=datasets, algorithm=algorithms, k=ks,
+                 order=orders, params=settings)
+    for _, job in jobs:
+        if job["order"] == STREAM_ORDER:
+            del job["order"]
+        if not job["params"]:
+            del job["params"]
+    return jobs
+
+
+def analytics_jobs(datasets, algorithms, ks, workloads) -> list:
+    return _jobs("analytics", dataset=datasets, algorithm=algorithms, k=ks,
+                 workload=workloads)
+
+
+def simulation_jobs(datasets, algorithms, ks, kinds, clients) -> list:
+    return _jobs("simulation", dataset=datasets, algorithm=algorithms, k=ks,
+                 kind=kinds, clients_per_worker=clients)
 
 
 @dataclass
@@ -65,12 +129,8 @@ class ExperimentContext:
     scale: str | None = None
     cost_model: object = DEFAULT_COST_MODEL
     cache: object = None
-    _partitions: dict = field(default_factory=dict)
+    _artifacts: dict = field(default_factory=dict)
     _placements: dict = field(default_factory=dict)
-    _runs: dict = field(default_factory=dict)
-    _bindings: dict = field(default_factory=dict)
-    _simulations: dict = field(default_factory=dict)
-    _ingests: dict = field(default_factory=dict)
     _planners: dict = field(default_factory=dict)
 
     @property
@@ -85,29 +145,28 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     # Cache plumbing
     # ------------------------------------------------------------------
-    def _through_cache(self, memo: dict, memo_key, kind: str, fields: dict,
-                      compute):
-        """Memo dict -> on-disk artifact cache -> compute (and backfill).
+    def _through_cache(self, kind: str, fields: dict, compute):
+        """Memo -> on-disk artifact cache -> compute (and backfill).
 
-        Every *compute* (a genuine recomputation, not a cache read) bumps
-        the process-global ``orchestrator.computed.<kind>`` counter — the
-        counter the warm-run acceptance check asserts stays at zero.
+        *fields* key both tiers.  Every *compute* (a genuine recomputation,
+        not a cache read) bumps the process-global
+        ``orchestrator.computed.<kind>`` counter — the counter the warm-run
+        acceptance check asserts stays at zero.
         """
         from repro import telemetry
         from repro.orchestrator.cache import MISS
 
-        if memo_key in memo:
-            return memo[memo_key]
-        if self.cache is not None:
-            value = self.cache.fetch(kind, fields)
-            if value is not MISS:
-                memo[memo_key] = value
-                return value
-        value = compute()
-        telemetry.get_metrics().counter(f"orchestrator.computed.{kind}").inc()
-        if self.cache is not None:
-            self.cache.store(kind, fields, value)
-        memo[memo_key] = value
+        memo_key = (kind, json.dumps(fields, sort_keys=True))
+        if memo_key in self._artifacts:
+            return self._artifacts[memo_key]
+        value = MISS if self.cache is None else self.cache.fetch(kind, fields)
+        if value is MISS:
+            value = compute()
+            telemetry.get_metrics().counter(
+                f"orchestrator.computed.{kind}").inc()
+            if self.cache is not None:
+                self.cache.store(kind, fields, value)
+        self._artifacts[memo_key] = value
         return value
 
     # ------------------------------------------------------------------
@@ -116,34 +175,35 @@ class ExperimentContext:
     def graph(self, dataset: str):
         return load_dataset(dataset, self.scale)
 
-    def partition(self, dataset: str, algorithm: str, k: int):
-        """Partition *dataset* with *algorithm* into *k* parts (cached)."""
+    def partition(self, dataset: str, algorithm: str, k: int, *,
+                  order: str = STREAM_ORDER, **params):
+        """Partition *dataset* with *algorithm* into *k* parts (cached).
+
+        *order* is the stream order and *params* the partitioner's
+        constructor keywords (FENNEL's ``gamma``, HDRF's
+        ``balance_weight``...).  Both are part of the artifact's fields,
+        *params* sorted by name; a default call has no ``params`` field.
+        """
         algorithm = canonical_name(algorithm)
-        key = (dataset, algorithm, k)
+        params = dict(sorted(params.items()))
         fields = {
             "dataset": dataset,
             "scale": self.scale_name,
             "algorithm": algorithm,
             "k": int(k),
-            "order": STREAM_ORDER,
+            "order": order,
             "seed": PARTITION_SEED,
         }
+        if params:
+            fields["params"] = params
 
         def compute():
-            return self._make(algorithm).partition(
-                self.graph(dataset), k, order=STREAM_ORDER, seed=PARTITION_SEED,
-            )
+            partitioner = make_seeded_partitioner(algorithm, PARTITION_SEED,
+                                                  **params)
+            return partitioner.partition(self.graph(dataset), k, order=order,
+                                         seed=PARTITION_SEED)
 
-        return self._through_cache(self._partitions, key, "partition",
-                                   fields, compute)
-
-    @staticmethod
-    def _make(algorithm: str):
-        # Seedable algorithms get the experiment seed; hash-based ones are
-        # built without it.  The registry's accepts_seed flag makes the
-        # distinction explicit, so a genuine TypeError raised inside a
-        # constructor propagates instead of being retried seedless.
-        return make_seeded_partitioner(algorithm, PARTITION_SEED)
+        return self._through_cache("partition", fields, compute)
 
     def placement(self, dataset: str, algorithm: str, k: int) -> Placement:
         """Placement for a (cached) partition.
@@ -180,8 +240,6 @@ class ExperimentContext:
         schedule by its deterministic ``repr``).
         """
         algorithm = canonical_name(algorithm)
-        key = (dataset, algorithm, k, workload,
-               repr(fault_schedule), checkpoint_interval)
         fields = {
             "dataset": dataset,
             "scale": self.scale_name,
@@ -207,8 +265,7 @@ class ExperimentContext:
                 self.make_workload(workload, dataset), **kwargs,
             )
 
-        return self._through_cache(self._runs, key, "analytics",
-                                   fields, compute)
+        return self._through_cache("analytics", fields, compute)
 
     # ------------------------------------------------------------------
     # Out-of-core ingest
@@ -229,8 +286,7 @@ class ExperimentContext:
             "stream": dict(spec.get("stream", {})),
             "shard": shard.to_fields(),
         }
-        key = repr(sorted(fields["stream"].items())) + repr(shard.to_fields())
-        return self._through_cache(self._ingests, key, "ingest", fields,
+        return self._through_cache("ingest", fields,
                                    lambda: run_ingest_spec(spec))
 
     # ------------------------------------------------------------------
@@ -238,7 +294,6 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     def bindings(self, dataset: str, kind: str):
         """The fixed binding set every algorithm serves (cached)."""
-        key = (dataset, kind)
         fields = {
             "dataset": dataset,
             "scale": self.scale_name,
@@ -255,8 +310,7 @@ class ExperimentContext:
             )
             return generator.bindings(kind, self.profile.num_bindings)
 
-        return self._through_cache(self._bindings, key, "bindings",
-                                   fields, compute)
+        return self._through_cache("bindings", fields, compute)
 
     def planner(self, dataset: str) -> QueryPlanner:
         """The query planner every simulation of *dataset* shares.
@@ -295,8 +349,6 @@ class ExperimentContext:
         if duration is None:
             duration = self.profile.sim_duration
         speeds = None if worker_speeds is None else [float(s) for s in worker_speeds]
-        key = (dataset, algorithm, k, kind, clients_per_worker, duration,
-               None if speeds is None else tuple(speeds), repr(fault_schedule))
         fields = {
             "dataset": dataset,
             "scale": self.scale_name,
@@ -323,5 +375,4 @@ class ExperimentContext:
                 fault_schedule=fault_schedule,
             )
 
-        return self._through_cache(self._simulations, key, "simulation",
-                                   fields, compute)
+        return self._through_cache("simulation", fields, compute)

@@ -25,7 +25,7 @@ the same surface with timers on.
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentReport, Table
-from repro.experiments.runner import ExperimentContext
+from repro.experiments.runner import ExperimentContext, requires
 
 #: Seed for every spilled stream and shard run in this experiment.
 SWEEP_SEED = 19
@@ -47,6 +47,9 @@ def _stream_spec(profile_name: str) -> dict:
     }
 
 
+# Every ingest spills its own synthetic stream and is computed inside the
+# experiment job (through the cache); nothing is plannable up front.
+@requires(lambda profile: [])
 def scale_sweep(ctx: ExperimentContext | None = None) -> ExperimentReport:
     """Shards × sync-interval × degree-state quality/memory surface."""
     ctx = ctx or ExperimentContext()

@@ -25,7 +25,8 @@ timelines and observability digests so the run is byte-regressable.
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentReport, Table
-from repro.experiments.runner import ExperimentContext
+from repro.experiments.datasets import ONLINE_DATASET
+from repro.experiments.runner import ExperimentContext, dataset_jobs, requires
 from repro.service.config import ServiceConfig
 from repro.service.core import PartitionedGraphService
 from repro.telemetry.slo import default_service_slos
@@ -84,8 +85,10 @@ def _variants(num_vertices: int):
     )
 
 
+# Like online-service, only the base graph is a plannable artifact.
+@requires(lambda profile: dataset_jobs(ONLINE_DATASET))
 def slo_ablation(ctx: ExperimentContext | None = None,
-                 dataset: str = "ldbc-snb") -> ExperimentReport:
+                 dataset: str = ONLINE_DATASET) -> ExperimentReport:
     """Run the policy sweep and report SLO breaches per configuration."""
     ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)

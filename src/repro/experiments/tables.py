@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
-from repro.experiments.datasets import DATASETS, dataset_summary
+from repro.experiments.datasets import DATASETS, ONLINE_DATASET, dataset_summary
 from repro.experiments.report import ExperimentReport, Table
-from repro.experiments.runner import ExperimentContext
+from repro.experiments.runner import (
+    HIGH_LOAD_CLIENTS,
+    MEDIUM_LOAD_CLIENTS,
+    ExperimentContext,
+    dataset_jobs,
+    partition_jobs,
+    requires,
+    simulation_jobs,
+)
 from repro.metrics import edge_cut_ratio
 from repro.partitioning import ONLINE_ALGORITHMS
 
-#: Client counts of the two load scenarios (Section 6.3.2).
-MEDIUM_LOAD_CLIENTS = 12
-HIGH_LOAD_CLIENTS = 24
 
-
+@requires(lambda profile: dataset_jobs(*DATASETS))
 def table3(ctx: ExperimentContext | None = None) -> ExperimentReport:
     """Table 3: characteristics of the graph datasets."""
     ctx = ctx or ExperimentContext()
@@ -38,8 +43,10 @@ def table3(ctx: ExperimentContext | None = None) -> ExperimentReport:
     return report
 
 
+@requires(lambda profile: partition_jobs(
+    [ONLINE_DATASET], ONLINE_ALGORITHMS, profile.online_partitions))
 def table4(ctx: ExperimentContext | None = None,
-           dataset: str = "ldbc-snb") -> ExperimentReport:
+           dataset: str = ONLINE_DATASET) -> ExperimentReport:
     """Table 4: edge-cut ratio on the LDBC SNB graph for 4–32 partitions."""
     ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
@@ -64,7 +71,11 @@ def table4(ctx: ExperimentContext | None = None,
     return report
 
 
-def table5(ctx: ExperimentContext | None = None, dataset: str = "ldbc-snb",
+@requires(lambda profile: simulation_jobs(
+    [ONLINE_DATASET], ONLINE_ALGORITHMS, [16], ["one_hop"],
+    [MEDIUM_LOAD_CLIENTS, HIGH_LOAD_CLIENTS]))
+def table5(ctx: ExperimentContext | None = None,
+           dataset: str = ONLINE_DATASET,
            num_workers: int = 16) -> ExperimentReport:
     """Table 5: mean and tail latency of the 1-hop workload, 16 workers."""
     ctx = ctx or ExperimentContext()

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import OrchestratorError
+from repro.errors import ConfigurationError, OrchestratorError
 from repro.experiments.datasets import active_scale
 from repro.orchestrator.cache import MISS, ArtifactCache
 from repro.orchestrator.dag import build_plan
@@ -127,6 +127,13 @@ def reset_process_state() -> None:
     _PROCESS_CONTEXTS.clear()
 
 
+#: The ExperimentContext method that builds each artifact kind; a job's
+#: params are its keyword arguments (a partition's ``params`` spread out).
+_BUILDERS = {"dataset": "graph", "partition": "partition",
+             "bindings": "bindings", "analytics": "analytics_run",
+             "simulation": "simulation"}
+
+
 def _execute_job(task: dict):
     """Execute one job; returns ``(job_id, digest, report)``.
 
@@ -135,24 +142,14 @@ def _execute_job(task: dict):
     """
     ctx = _process_context(task["scale"], task["cache_dir"],
                            task["fingerprint"])
-    kind, params = task["kind"], task["params"]
-    if kind == "dataset":
-        ctx.graph(params["dataset"])
-    elif kind == "partition":
-        ctx.partition(params["dataset"], params["algorithm"], params["k"])
-    elif kind == "bindings":
-        ctx.bindings(params["dataset"], params["kind"])
-    elif kind == "analytics":
-        ctx.analytics_run(params["dataset"], params["algorithm"],
-                          params["k"], params["workload"])
-    elif kind == "simulation":
-        ctx.simulation(params["dataset"], params["algorithm"], params["k"],
-                       params["kind"], clients_per_worker=params["clients"])
-    elif kind == "experiment":
+    kind, params = task["kind"], dict(task["params"])
+    if kind == "experiment":
         return (task["job_id"], *_execute_experiment(ctx, params["name"],
                                                      task["scale"]))
-    else:
+    if kind not in _BUILDERS:
         raise OrchestratorError(f"unknown job kind {kind!r}")
+    partitioner_params = params.pop("params", {})
+    getattr(ctx, _BUILDERS[kind])(**params, **partitioner_params)
     return (task["job_id"], None, None)
 
 
@@ -222,8 +219,9 @@ def run_experiments(names=None, *, scale: str | None = None, jobs: int = 1,
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` (default) runs everything serially
-        in-process — determinism parity with the historical ``run_all``.
+        Worker processes, an int >= 1.  ``1`` (default) runs everything
+        serially in-process — determinism parity with the historical
+        ``run_all``.
     cache:
         ``True`` for the default cache dir, a path or
         :class:`ArtifactCache` for a specific one, ``False``/``None`` to
@@ -241,6 +239,9 @@ def run_experiments(names=None, *, scale: str | None = None, jobs: int = 1,
     """
     from repro.experiments import EXPERIMENTS
 
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ConfigurationError(
+            f"jobs must be an int >= 1, got {jobs!r}")
     names = list(EXPERIMENTS) if names is None else list(names)
     resolved_scale = active_scale(scale)
     started = time.time()

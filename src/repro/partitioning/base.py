@@ -32,7 +32,7 @@ UNASSIGNED = -1
 
 def check_num_partitions(k: Any) -> int:
     """Validate a partition count."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ConfigurationError(f"number of partitions must be a positive int, got {k!r}")
     return int(k)
 

@@ -1,8 +1,8 @@
-"""Cross-module contract rules (RL101–RL108).
+"""Cross-module contract rules (RL101, RL102 and RL104–RL108).
 
 These rules extract facts from several modules at once — the partitioner
-registry, the experiment registry, the orchestrator's job planner, the
-telemetry emitters — and check that the pieces still agree.  Every anchor
+registry, the public API, the telemetry emitters, the ingest format — and
+check that the pieces still agree.  Every anchor
 module is located by its dotted suffix within the linted file set, so the
 same rules run unchanged over the real tree and over miniature fixture
 trees in the test suite; a rule whose anchors are absent simply does not
@@ -295,42 +295,6 @@ class AllNamesResolve(Rule):
                               f"__all__ names {name!r} which the module "
                               f"never defines or imports",
                               str(module.path), lineno, col)
-
-
-@register
-class ExperimentPlanSync(Rule):
-    """RL103 — every CLI-reachable experiment has a DAG plan entry.
-
-    ``EXPERIMENTS`` (experiments/__init__) is what ``python -m repro``
-    will run; ``_REQUIREMENTS`` (orchestrator/dag) is what ``build_plan``
-    can parallelise and cache.  A missing plan entry silently serialises
-    an experiment; a dangling one plans artifacts nothing renders.
-    """
-
-    code = "RL103"
-    name = "experiment-plan-sync"
-    summary = "EXPERIMENTS keys and orchestrator _REQUIREMENTS keys match"
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        experiments_mod = project.find("repro", "experiments")
-        dag_mod = project.find("orchestrator", "dag")
-        if experiments_mod is None or dag_mod is None:
-            return
-        experiments = _literal_str_dict(experiments_mod, "EXPERIMENTS")
-        requirements = _literal_str_dict(dag_mod, "_REQUIREMENTS")
-        if experiments is None or requirements is None:
-            return
-        for name in sorted(set(experiments) - set(requirements)):
-            yield Finding(self.code,
-                          f"experiment {name!r} has no _REQUIREMENTS entry "
-                          f"in orchestrator/dag.py — build_plan cannot "
-                          f"pre-plan its artifacts",
-                          str(experiments_mod.path), experiments[name][1])
-        for name in sorted(set(requirements) - set(experiments)):
-            yield Finding(self.code,
-                          f"_REQUIREMENTS entry {name!r} matches no "
-                          f"experiment in EXPERIMENTS",
-                          str(dag_mod.path), requirements[name][1])
 
 
 #: A span name: at least two lowercase dotted segments (``db.hop``,

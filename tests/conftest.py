@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -66,3 +69,86 @@ def star() -> Graph:
 @pytest.fixture()
 def path() -> Graph:
     return path_graph(10)
+
+
+@dataclass
+class QuickRun:
+    """One cold, serial, quick-scale run of every experiment."""
+
+    #: The :class:`~repro.orchestrator.OrchestratorResult`.
+    result: object
+    #: Per job id: ``{artifact kind: count}`` computed while it ran.
+    computed: dict
+    #: Per job id: every ``(kind, key)`` artifact it read, datasets
+    #: included.
+    reads: dict
+
+
+@pytest.fixture(scope="session")
+def quick_run(tmp_path_factory) -> QuickRun:
+    """Run every experiment once, cold and serial, at the quick scale.
+
+    The shape tests read its reports.  The plan-completeness test reads
+    what each job computed (the ``orchestrator.computed.*`` counters,
+    sampled through the ``progress`` callback) and what it read: every
+    cache-backed artifact, each placement's partition and each dataset.
+    """
+    from repro import telemetry
+    from repro.experiments import datasets
+    from repro.experiments.runner import ExperimentContext
+    from repro.orchestrator import (
+        ArtifactCache,
+        reset_process_state,
+        run_experiments,
+    )
+
+    through_cache = ExperimentContext._through_cache
+    placement = ExperimentContext.placement
+    load = datasets._load
+    registry = telemetry.MetricsRegistry()
+    prefix = "orchestrator.computed."
+    computed: dict = {}
+    reads: dict = {}
+    read: set = set()
+    totals: dict = {}
+
+    def recording_through_cache(self, kind, fields, compute):
+        read.add((kind, json.dumps(fields, sort_keys=True)))
+        return through_cache(self, kind, fields, compute)
+
+    def recording_placement(self, dataset, algorithm, k):
+        # Placements are memoised outside the cache: read the partition
+        # each time so the read is recorded.
+        self.partition(dataset, algorithm, k)
+        return placement(self, dataset, algorithm, k)
+
+    def recording_load(name, scale):
+        read.add(("dataset", name))
+        return load(name, scale)
+
+    def progress(done, total, job_id):
+        now = {name[len(prefix):]: int(registry.value(name))
+               for name in registry.names() if name.startswith(prefix)}
+        computed[job_id] = {kind: count - totals.get(kind, 0)
+                            for kind, count in now.items()
+                            if count != totals.get(kind, 0)}
+        totals.update(now)
+        reads[job_id] = set(read)
+        read.clear()
+
+    previous = telemetry.set_metrics(registry)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ExperimentContext, "_through_cache",
+                          recording_through_cache)
+            patch.setattr(ExperimentContext, "placement", recording_placement)
+            patch.setattr(datasets, "_load", recording_load)
+            result = run_experiments(
+                None, scale="quick", jobs=1, progress=progress,
+                sample_metrics=False,
+                cache=ArtifactCache(tmp_path_factory.mktemp("quick-run"),
+                                    fingerprint="test-fp"))
+    finally:
+        telemetry.set_metrics(previous)
+        reset_process_state()
+    return QuickRun(result, computed, reads)

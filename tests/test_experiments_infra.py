@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentContext, ExperimentReport, Table
+from repro.experiments.runner import PARTITION_SEED
 from repro.experiments.cli import main as cli_main
 from repro.experiments.datasets import (
     DATASETS,
@@ -119,6 +120,51 @@ class TestRunner:
         b = ctx.analytics_run("usa-road", "ecr", 4, "sssp")
         assert a is b
 
+    def test_partition_order_and_params_are_keys(self, tmp_path):
+        from repro.orchestrator import ArtifactCache
+
+        ctx = ExperimentContext(scale="quick",
+                                cache=ArtifactCache(tmp_path, fingerprint="fp"))
+        default = ctx.partition("usa-road", "fennel", 4)
+        ordered = ctx.partition("usa-road", "fennel", 4, order="random")
+        swept = ctx.partition("usa-road", "fennel", 4, order="random",
+                              gamma=2.0, load_cap=1.2)
+        assert len({id(default), id(ordered), id(swept)}) == 3
+        # Keyword order does not matter: the same memo entry.
+        assert ctx.partition("usa-road", "fennel", 4, order="random",
+                             load_cap=1.2, gamma=2.0) is swept
+        fields = sorted((entry["fields"] for entry in ctx.cache.index()),
+                        key=lambda f: (f["order"], "params" in f))
+        base = {"dataset": "usa-road", "scale": "quick", "algorithm": "fennel",
+                "k": 4, "seed": PARTITION_SEED}
+        # A default call keys exactly as before: no params field.
+        assert fields == [
+            {**base, "order": "natural"},
+            {**base, "order": "random"},
+            {**base, "order": "random",
+             "params": {"gamma": 2.0, "load_cap": 1.2}},
+        ]
+
+    def test_partition_jobs_carry_order_and_params(self):
+        from repro.experiments.runner import partition_jobs
+        from repro.orchestrator import JobGraph
+
+        plan = JobGraph()
+        default = plan.add(*partition_jobs(["usa-road"], ["fennel"], [4])[0])
+        assert default == "partition:fennel/usa-road/4"
+        assert plan.jobs[default].params == {
+            "dataset": "usa-road", "algorithm": "fennel", "k": 4}
+        swept = plan.add(*partition_jobs(["usa-road"], ["fennel"], [4],
+                                         orders=["random"], gamma=[2.0],
+                                         load_cap=[1.2])[0])
+        assert swept == ("partition:fennel/usa-road/4/random/"
+                         "{'gamma': 2.0, 'load_cap': 1.2}")
+        reordered = plan.add(*partition_jobs(["usa-road"], ["fennel"], [4],
+                                             orders=["random"], load_cap=[1.2],
+                                             gamma=[2.0])[0])
+        assert reordered == swept
+        assert len(plan.jobs) == 2
+
     def test_simulations_share_one_uncached_planner(self, monkeypatch,
                                                     tmp_path):
         from repro.database import queries
@@ -218,6 +264,22 @@ class TestCli:
         assert cli_main(["cache", "gc"]) == 0
         assert cli_main(["cache", "clear"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_run_all_rejects_bad_jobs(self, capsys, tmp_path, jobs):
+        assert cli_main(["run-all", "table3", "--jobs", jobs,
+                         "--cache-dir", str(tmp_path / "cache")]) == 2
+        assert f"got {jobs}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [0, -4, True, 2.0, "2"])
+    def test_run_experiments_rejects_bad_jobs(self, tmp_path, jobs):
+        from repro.orchestrator import run_experiments
+
+        with pytest.raises(ConfigurationError, match=repr(jobs)):
+            run_experiments(["table3"], scale="quick", jobs=jobs,
+                            cache=tmp_path / "cache")
+        # Rejected before any cache is opened or plan built.
+        assert not (tmp_path / "cache").exists()
 
     def test_run_all_unknown_experiment(self, capsys):
         assert cli_main(["run-all", "figure99"]) == 2

@@ -241,11 +241,10 @@ class TestIngestSpecPipeline:
 class TestScaleSweepRegistration:
     def test_experiment_is_registered(self):
         from repro.experiments import EXPERIMENTS
-        from repro.orchestrator.dag import _REQUIREMENTS, build_plan
+        from repro.orchestrator.dag import build_plan
 
         assert "scale-sweep" in EXPERIMENTS
         # No plannable prerequisites: it spills its own streams.
-        assert "scale-sweep" in _REQUIREMENTS
         plan = build_plan(["scale-sweep"], scale="quick")
         job = next(job for job in plan.jobs.values()
                    if job.params.get("name") == "scale-sweep")

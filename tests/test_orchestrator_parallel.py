@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro import telemetry
@@ -15,10 +17,20 @@ from repro.orchestrator import (
     run_experiments,
 )
 
-#: A subset that exercises partitions, bindings, analytics, simulations
+#: A subset that exercises partitions (with a stream order and partitioner
+#: parameters: ablation-fennel-gamma), bindings, analytics, simulations
 #: and an active fault schedule (ablation-fault-tolerance) while staying
 #: fast at the quick scale.
-NAMES = ["table4", "figure7", "ablation-fault-tolerance"]
+NAMES = ["table4", "figure7", "ablation-fault-tolerance",
+         "ablation-fennel-gamma"]
+
+#: The derived runs each experiment builds from an earlier result and so
+#: computes inside its own job: the only artifacts the plan leaves out.
+DERIVED = {
+    "ablation-straggler": {"simulation": 4},
+    "ablation-fault-tolerance": {"analytics": 4, "simulation": 3},
+    "scale-sweep": {"ingest": 8},
+}
 
 
 @pytest.fixture
@@ -62,6 +74,28 @@ class TestPlan:
         plan = build_plan(list(EXPERIMENTS), "quick")
         for name in EXPERIMENTS:
             assert f"experiment:{name}" in plan.jobs
+
+    def test_plan_is_complete(self, quick_run):
+        """Every artifact an experiment job reads is one its own
+        declaration plans, except its derived runs, which it computes."""
+        from repro.experiments import EXPERIMENTS
+
+        problems = []
+        for name in EXPERIMENTS:
+            job_id = f"experiment:{name}"
+            planned = set().union(*(
+                quick_run.reads[dep]
+                for dep in build_plan([name], "quick").jobs if dep != job_id))
+            unplanned = dict(Counter(
+                kind for kind, _ in quick_run.reads[job_id] - planned))
+            expected = DERIVED.get(name, {})
+            if unplanned != expected:
+                problems.append(f"{name} reads unplanned artifacts "
+                                f"{unplanned}, expected {expected}")
+            if quick_run.computed[job_id] != expected:
+                problems.append(f"{name} computes {quick_run.computed[job_id]}"
+                                f", expected {expected}")
+        assert not problems, "\n".join(problems)
 
     def test_missing_dependency_detected(self):
         graph = JobGraph()

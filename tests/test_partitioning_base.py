@@ -23,7 +23,7 @@ class TestCheckNumPartitions:
         assert check_num_partitions(4) == 4
         assert check_num_partitions(np.int64(3)) == 3
 
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, "4", None])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "4", None, True])
     def test_invalid(self, bad):
         with pytest.raises(ConfigurationError):
             check_num_partitions(bad)

@@ -56,7 +56,7 @@ class TestRealTree:
         codes = [rule.code for rule in all_rules()]
         assert codes == sorted(codes)
         assert codes == ["RL001", "RL002", "RL003", "RL004", "RL005",
-                         "RL006", "RL101", "RL102", "RL103", "RL104",
+                         "RL006", "RL101", "RL102", "RL104",
                          "RL105", "RL106", "RL107", "RL108",
                          "RL201", "RL202", "RL203",
                          "RL210", "RL211", "RL212", "RL213"]
@@ -479,33 +479,6 @@ class TestOtherContracts:
                 "x = 1\n__all__ = ['x', 'x']\n",
         })
         assert "duplicate" in single(findings, "RL102").message
-
-    def test_rl103_experiment_without_plan_entry(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "repro/experiments/__init__.py":
-                "def table3(ctx):\n    pass\n"
-                "def figure99(ctx):\n    pass\n"
-                "EXPERIMENTS = {'table3': table3, 'figure99': figure99}\n",
-            "repro/orchestrator/dag.py":
-                "def _req_table3(profile):\n    return ()\n"
-                "_REQUIREMENTS = {'table3': _req_table3}\n",
-        })
-        finding = single(findings, "RL103")
-        assert "'figure99'" in finding.message
-        assert finding.path.endswith("experiments/__init__.py")
-
-    def test_rl103_dangling_requirement(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "repro/experiments/__init__.py":
-                "def table3(ctx):\n    pass\n"
-                "EXPERIMENTS = {'table3': table3}\n",
-            "repro/orchestrator/dag.py":
-                "def _req(profile):\n    return ()\n"
-                "_REQUIREMENTS = {'table3': _req, 'figure98': _req}\n",
-        })
-        finding = single(findings, "RL103")
-        assert "'figure98'" in finding.message
-        assert finding.path.endswith("orchestrator/dag.py")
 
     def test_rl104_unknown_span_name(self, tmp_path):
         findings = findings_for(tmp_path, {
