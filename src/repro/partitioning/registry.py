@@ -7,6 +7,7 @@ experiment harness can sweep "all algorithms" the way the paper does.
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable
 
 from repro.errors import ConfigurationError
@@ -48,45 +49,6 @@ _FACTORIES: dict[str, Callable[..., object]] = {
     "hcr": HybridHashPartitioner,
     "hg": GingerPartitioner,
 }
-
-#: Whether each factory accepts a ``seed=`` keyword (RNG tie-breaking).
-#: Hash-based algorithms are stateless and expose only ``hash_seed``;
-#: calling them with ``seed=`` is a caller error, not something to paper
-#: over with a retry.  The flag is validated against the constructor
-#: signatures at import time (see ``_validate_seed_flags``), so it cannot
-#: silently drift when an algorithm gains or loses its RNG.
-_ACCEPTS_SEED: dict[str, bool] = {
-    "ecr": False,
-    "ldg": True,
-    "fennel": True,
-    "re-ldg": True,
-    "re-fennel": True,
-    "iogp": False,
-    "leopard": False,
-    "mts": True,
-    "vcr": False,
-    "dbh": False,
-    "grid": True,
-    "greedy": True,
-    "hdrf": True,
-    "hcr": False,
-    "hg": True,
-}
-
-
-def _validate_seed_flags() -> None:
-    import inspect
-
-    for name, factory in _FACTORIES.items():
-        has_seed = "seed" in inspect.signature(factory).parameters
-        if has_seed != _ACCEPTS_SEED[name]:
-            raise ConfigurationError(
-                f"registry accepts_seed flag for {name!r} is "
-                f"{_ACCEPTS_SEED[name]} but the constructor "
-                f"{'has' if has_seed else 'lacks'} a seed parameter")
-
-
-_validate_seed_flags()
 
 #: Aliases used in the paper's figures.
 _ALIASES = {
@@ -136,11 +98,13 @@ def canonical_name(name: str) -> str:
 def accepts_seed(name: str) -> bool:
     """Whether the partitioner registered under *name* takes ``seed=``.
 
+    Read from the factory's signature, so it follows the constructor: the
+    hash-based algorithms are stateless and take only ``hash_seed``.
     Callers that sweep "all algorithms" with one seed use this to drop
-    the keyword for the stateless hash-based methods — explicitly, rather
-    than by catching ``TypeError`` (which would also swallow a genuine
-    constructor bug)."""
-    return _ACCEPTS_SEED[canonical_name(name)]
+    the keyword for them — explicitly, rather than by catching
+    ``TypeError`` (which would also swallow a genuine constructor bug)."""
+    factory = _FACTORIES[canonical_name(name)]
+    return "seed" in inspect.signature(factory).parameters
 
 
 def make_partitioner(name: str, **kwargs):

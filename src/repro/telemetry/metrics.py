@@ -15,15 +15,15 @@ use, so a registry snapshot speaks the repo's existing vocabulary.
 
 from __future__ import annotations
 
+from repro.errors import ConfigurationError
 from repro.metrics.runtime import DistributionSummary, summarize
 
 #: Every metric name the repo emits, in one place — the export schema.
-#: reprolint rule RL107 enforces the contract both ways: every literal
-#: name passed to ``counter()``/``gauge()``/``histogram()`` anywhere in
-#: ``repro`` must appear here, and every non-wildcard entry here must
-#: have at least one emitter.  Entries ending in ``.*`` cover dynamic
-#: f-string families (the orchestrator's cache outcome counters).
-#: Keep the tuple sorted; RL107 checks that too.
+#: :class:`MetricsRegistry` refuses to create a metric whose name is not
+#: covered here, and the test suite checks that a quick run of every
+#: experiment creates every entry.  Entries ending in ``.*`` cover
+#: dynamic families (the orchestrator's cache outcome counters).  Keep
+#: the tuple sorted, so diffs against the schema stay one line.
 METRIC_NAMES = (
     "cache.*",
     "db.migration.busy_seconds",
@@ -157,9 +157,11 @@ class Histogram:
 class MetricsRegistry:
     """Get-or-create registry of named metrics.
 
-    Names are dotted paths (``db.timeouts``, ``gas.gather_messages``); a
-    name belongs to exactly one metric kind — asking for a counter under
-    an existing histogram name raises, catching wiring mistakes early.
+    Names are dotted paths (``db.timeouts``, ``gas.gather_messages``)
+    registered in :data:`METRIC_NAMES`; creating an unregistered name
+    raises :class:`~repro.errors.ConfigurationError`.  A name belongs to
+    exactly one metric kind — asking for a counter under an existing
+    histogram name raises, catching wiring mistakes early.
     """
 
     def __init__(self):
@@ -168,6 +170,10 @@ class MetricsRegistry:
     def _get_or_create(self, name: str, cls):
         metric = self._metrics.get(name)
         if metric is None:
+            if not registered_metric_name(name):
+                raise ConfigurationError(
+                    f"metric {name!r} is not registered in METRIC_NAMES "
+                    f"(repro/telemetry/metrics.py)")
             metric = cls(name)
             self._metrics[name] = metric
         elif not isinstance(metric, cls):

@@ -7,7 +7,8 @@ Usage::
     repro-lint src --select RL001,RL003      # a subset of rules
     repro-lint --list-rules                  # the rule catalogue
 
-Exit codes: 0 clean, 1 findings, 2 usage error.
+Exit codes: 0 clean, 1 findings, 2 usage error (an unknown rule code or
+a path that does not exist).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from repro.tools.lint.engine import all_rules, run_lint
 
@@ -33,7 +35,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="AST-based checker for this repo's determinism, "
-                    "seeding and registry contracts "
+                    "seeding and ingest-format contracts "
                     "(docs/static_analysis.md).",
     )
     parser.add_argument("paths", nargs="*", default=None, metavar="PATH",
@@ -63,6 +65,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     paths = args.paths or ["src"]
+    missing = [path for path in paths if not Path(path).exists()]
+    if missing:
+        for path in missing:
+            print(f"no such file or directory: {path}", file=sys.stderr)
+        return EXIT_USAGE
     result = run_lint(paths, select=select or None, ignore=ignore or None)
 
     if args.output_format == "json":

@@ -4,8 +4,8 @@ Small by design: a :class:`Rule` sees parsed modules (AST + source lines +
 package location) and yields :class:`Finding` objects.  Rules come in two
 shapes — per-module checks (``check_module``) for local determinism
 violations, and project-wide checks (``check_project``) for cross-module
-contracts such as "every registry entry's ``accepts_seed`` flag matches its
-constructor".  The engine handles file collection, pragma suppression
+contracts such as "the ingest writer and reader share one format's magic
+and version".  The engine handles file collection, pragma suppression
 (``# reprolint: ignore[RL001]`` on the offending line, or
 ``# reprolint: ignore-file`` near the top of a file), rule selection and
 deterministic ordering of the output.

@@ -27,7 +27,11 @@ from repro.metrics import (
     partition_balance,
     replication_factor,
 )
-from repro.partitioning import available_algorithms, cut_model, make_partitioner
+from repro.partitioning import (
+    available_algorithms,
+    cut_model,
+    make_seeded_partitioner,
+)
 from repro.partitioning.base import VertexPartition
 
 
@@ -69,7 +73,7 @@ def main(argv=None) -> int:
             elapsed = 0.0
             label = f"{partition.algorithm} (from {args.evaluate})"
         else:
-            partitioner = _make(args.algorithm, args.seed)
+            partitioner = make_seeded_partitioner(args.algorithm, args.seed)
             started = time.time()
             partition = partitioner.partition(graph, args.partitions,
                                               order=args.order, seed=args.seed)
@@ -98,13 +102,6 @@ def main(argv=None) -> int:
                             comment=f"order={args.order} seed={args.seed}")
         print(f"assignment : written to {args.output}")
     return 0
-
-
-def _make(algorithm: str, seed: int):
-    try:
-        return make_partitioner(algorithm, seed=seed)
-    except TypeError:
-        return make_partitioner(algorithm)
 
 
 if __name__ == "__main__":  # pragma: no cover

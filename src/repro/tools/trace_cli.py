@@ -26,6 +26,14 @@ from repro.telemetry import (
 )
 
 
+def positive_int(text: str) -> int:
+    """An argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-trace",
@@ -33,10 +41,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "JSONL telemetry trace.",
     )
     parser.add_argument("trace", help="JSONL trace file ('-' for stdin)")
-    parser.add_argument("--top", type=int, default=10, metavar="N",
+    parser.add_argument("--top", type=positive_int, default=10, metavar="N",
                         help="rows in the hot-span table (default 10)")
-    parser.add_argument("--max-depth", type=int, default=None, metavar="D",
-                        help="cap flamegraph nesting depth")
+    parser.add_argument("--max-depth", type=positive_int, default=None,
+                        metavar="D", help="cap flamegraph nesting depth")
     parser.add_argument("--min-percent", type=float, default=0.0, metavar="P",
                         help="prune flamegraph spans below P%% of the "
                              "trace total (default 0: show everything)")

@@ -82,16 +82,21 @@ class QuickRun:
     #: Per job id: every ``(kind, key)`` artifact it read, datasets
     #: included.
     reads: dict
+    #: Every metric name asked of any registry during the run.
+    metric_names: set
 
 
 @pytest.fixture(scope="session")
 def quick_run(tmp_path_factory) -> QuickRun:
-    """Run every experiment once, cold and serial, at the quick scale.
+    """Run every experiment once, cold and serial, at the quick scale,
+    sampling metrics as ``run-all`` does.
 
     The shape tests read its reports.  The plan-completeness test reads
     what each job computed (the ``orchestrator.computed.*`` counters,
     sampled through the ``progress`` callback) and what it read: every
     cache-backed artifact, each placement's partition and each dataset.
+    The metric-name coverage test reads every name a registry was asked
+    for.
     """
     from repro import telemetry
     from repro.experiments import datasets
@@ -105,12 +110,14 @@ def quick_run(tmp_path_factory) -> QuickRun:
     through_cache = ExperimentContext._through_cache
     placement = ExperimentContext.placement
     load = datasets._load
+    get_or_create = telemetry.MetricsRegistry._get_or_create
     registry = telemetry.MetricsRegistry()
     prefix = "orchestrator.computed."
     computed: dict = {}
     reads: dict = {}
     read: set = set()
     totals: dict = {}
+    metric_names: set = set()
 
     def recording_through_cache(self, kind, fields, compute):
         read.add((kind, json.dumps(fields, sort_keys=True)))
@@ -125,6 +132,10 @@ def quick_run(tmp_path_factory) -> QuickRun:
     def recording_load(name, scale):
         read.add(("dataset", name))
         return load(name, scale)
+
+    def recording_get_or_create(self, name, cls):
+        metric_names.add(name)
+        return get_or_create(self, name, cls)
 
     def progress(done, total, job_id):
         now = {name[len(prefix):]: int(registry.value(name))
@@ -143,12 +154,13 @@ def quick_run(tmp_path_factory) -> QuickRun:
                           recording_through_cache)
             patch.setattr(ExperimentContext, "placement", recording_placement)
             patch.setattr(datasets, "_load", recording_load)
+            patch.setattr(telemetry.MetricsRegistry, "_get_or_create",
+                          recording_get_or_create)
             result = run_experiments(
                 None, scale="quick", jobs=1, progress=progress,
-                sample_metrics=False,
                 cache=ArtifactCache(tmp_path_factory.mktemp("quick-run"),
                                     fingerprint="test-fp"))
     finally:
         telemetry.set_metrics(previous)
         reset_process_state()
-    return QuickRun(result, computed, reads)
+    return QuickRun(result, computed, reads, metric_names)

@@ -220,13 +220,6 @@ class TestSeedRegistry:
         with pytest.raises(TypeError, match="genuine constructor bug"):
             registry.make_seeded_partitioner("ldg", 7)
 
-    def test_flag_drift_detected(self, monkeypatch):
-        from repro.partitioning import registry
-
-        monkeypatch.setitem(registry._ACCEPTS_SEED, "ecr", True)
-        with pytest.raises(ConfigurationError, match="accepts_seed"):
-            registry._validate_seed_flags()
-
 
 class TestCli:
     def test_list(self, capsys):

@@ -1,6 +1,6 @@
 """Fixture tests for reprolint's interprocedural layer (RL2xx).
 
-The RL0xx/RL1xx per-file and registry rules are covered in
+The RL0xx per-file rules and the RL108 contract rule are covered in
 ``test_reprolint.py``; this file exercises the whole-program call-graph
 machinery (``repro.tools.lint.callgraph``), the seed/time dataflow rules
 (``repro.tools.lint.dataflow``) and the process-boundary audit

@@ -464,3 +464,15 @@ class TestMetricNameRegistry:
         assert registered_metric_name("orchestrator.computed.partition")
         assert registered_metric_name("db.timeouts")
         assert not registered_metric_name("made.up.metric")
+
+    def test_every_entry_is_created_by_a_quick_run(self, quick_run):
+        """Each entry names a metric the code really creates: a quick run
+        of every experiment asks a registry for it (a ``.*`` entry, for a
+        name under its prefix).  The other direction needs no test, as
+        a registry refuses to create an unregistered name."""
+        created = quick_run.metric_names
+        never_created = [
+            entry for entry in METRIC_NAMES
+            if not (any(name.startswith(entry[:-1]) for name in created)
+                    if entry.endswith(".*") else entry in created)]
+        assert never_created == []

@@ -104,6 +104,39 @@ class TestRegistry:
         p = make_partitioner("hdrf", balance_weight=2.5)
         assert p.balance_weight == 2.5
 
+    def test_every_streaming_partitioner_is_registered(self):
+        """Each public partitioner class under edge_cut/, vertex_cut/ and
+        hybrid/ has a registry entry, so "all algorithms" sweeps reach it.
+        Every module there is imported first, so a class in a file that
+        nothing imports yet is found too."""
+        import importlib
+        import pkgutil
+
+        from repro.partitioning import edge_cut, hybrid, registry, vertex_cut
+        from repro.partitioning.base import EdgePartitioner, VertexPartitioner
+
+        packages = (edge_cut, vertex_cut, hybrid)
+        for package in packages:
+            for info in pkgutil.iter_modules(package.__path__,
+                                             package.__name__ + "."):
+                importlib.import_module(info.name)
+        scopes = tuple(package.__name__ + "." for package in packages)
+        found, stack = set(), [VertexPartitioner, EdgePartitioner]
+        while stack:
+            for cls in stack.pop().__subclasses__():
+                if cls not in found:
+                    found.add(cls)
+                    stack.append(cls)
+        public = {cls for cls in found if cls.__module__.startswith(scopes)
+                  and not cls.__name__.startswith("_")}
+        registered = set(registry._FACTORIES.values())
+        unregistered = public - registered
+        assert not unregistered, sorted(
+            f"{cls.__module__}.{cls.__name__}" for cls in unregistered)
+        # The walk sees every registered class in scope (not vacuous).
+        assert {cls for cls in registered
+                if cls.__module__.startswith(scopes)} == public
+
     def test_all_offline_algorithms_partition(self, small_twitter):
         for name in OFFLINE_ALGORITHMS:
             partitioner = make_partitioner(name)

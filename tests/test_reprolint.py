@@ -56,8 +56,7 @@ class TestRealTree:
         codes = [rule.code for rule in all_rules()]
         assert codes == sorted(codes)
         assert codes == ["RL001", "RL002", "RL003", "RL004", "RL005",
-                         "RL006", "RL101", "RL102", "RL104",
-                         "RL105", "RL106", "RL107", "RL108",
+                         "RL006", "RL108",
                          "RL201", "RL202", "RL203",
                          "RL210", "RL211", "RL212", "RL213"]
         assert all(rule.summary for rule in all_rules())
@@ -341,313 +340,7 @@ class TestDeterminismRules:
 # ----------------------------------------------------------------------
 # Contract rules
 # ----------------------------------------------------------------------
-_REGISTRY_FIXTURE = {
-    "repro/partitioning/base.py": (
-        "class VertexPartitioner:\n"
-        "    pass\n"
-    ),
-    "repro/partitioning/edge_cut/ldg.py": (
-        "from repro.partitioning.base import VertexPartitioner\n"
-        "\n"
-        "class LdgPartitioner(VertexPartitioner):\n"
-        "    def __init__(self, balance_slack=1.0, seed=None):\n"
-        "        self.seed = seed\n"
-    ),
-    "repro/partitioning/edge_cut/hashing.py": (
-        "from repro.partitioning.base import VertexPartitioner\n"
-        "\n"
-        "class HashVertexPartitioner(VertexPartitioner):\n"
-        "    def __init__(self, hash_seed=0):\n"
-        "        self.hash_seed = hash_seed\n"
-    ),
-}
-
-
-def _registry_source(flags: str) -> str:
-    return (
-        "from repro.partitioning.edge_cut.hashing import "
-        "HashVertexPartitioner\n"
-        "from repro.partitioning.edge_cut.ldg import LdgPartitioner\n"
-        "\n"
-        "_FACTORIES = {\n"
-        "    'ecr': HashVertexPartitioner,\n"
-        "    'ldg': LdgPartitioner,\n"
-        "}\n"
-        "\n"
-        f"_ACCEPTS_SEED = {{\n{flags}}}\n"
-    )
-
-
-class TestRegistryContract:
-    def test_rl101_contradictory_flag(self, tmp_path):
-        """A fixture partitioner whose accepts_seed flag contradicts its
-        ``__init__`` signature is flagged (acceptance criterion)."""
-        files = dict(_REGISTRY_FIXTURE)
-        files["repro/partitioning/registry.py"] = _registry_source(
-            "    'ecr': True,\n"   # hash-based: __init__ has no seed
-            "    'ldg': True,\n"
-        )
-        findings = findings_for(tmp_path, files)
-        finding = single(findings, "RL101")
-        assert finding.path.endswith("repro/partitioning/registry.py")
-        assert "'ecr'" in finding.message
-        assert "does not take" in finding.message
-
-    def test_rl101_flag_contradiction_other_direction(self, tmp_path):
-        files = dict(_REGISTRY_FIXTURE)
-        files["repro/partitioning/registry.py"] = _registry_source(
-            "    'ecr': False,\n"
-            "    'ldg': False,\n"  # LDG's __init__ *does* take seed
-        )
-        finding = single(findings_for(tmp_path, files), "RL101")
-        assert "'ldg'" in finding.message and "takes" in finding.message
-
-    def test_rl101_inherited_init_resolves(self, tmp_path):
-        """Seed-taking ``__init__`` found through a base class (the
-        re-LDG/re-FENNEL shape)."""
-        files = {"repro/partitioning/base.py":
-                 _REGISTRY_FIXTURE["repro/partitioning/base.py"]}
-        files["repro/partitioning/edge_cut/restreaming.py"] = (
-            "from repro.partitioning.base import VertexPartitioner\n"
-            "\n"
-            "class _RestreamingBase(VertexPartitioner):\n"
-            "    def __init__(self, num_passes=5, seed=None):\n"
-            "        self.seed = seed\n"
-            "\n"
-            "class RestreamingLdgPartitioner(_RestreamingBase):\n"
-            "    pass\n"
-        )
-        files["repro/partitioning/registry.py"] = (
-            "from repro.partitioning.edge_cut.restreaming import "
-            "RestreamingLdgPartitioner\n"
-            "_FACTORIES = {'re-ldg': RestreamingLdgPartitioner}\n"
-            "_ACCEPTS_SEED = {'re-ldg': False}\n"
-        )
-        finding = single(findings_for(tmp_path, files), "RL101")
-        assert "'re-ldg'" in finding.message
-
-    def test_rl101_missing_flag(self, tmp_path):
-        files = dict(_REGISTRY_FIXTURE)
-        files["repro/partitioning/registry.py"] = _registry_source(
-            "    'ecr': False,\n"  # no 'ldg' entry at all
-        )
-        finding = single(findings_for(tmp_path, files), "RL101")
-        assert "no _ACCEPTS_SEED flag" in finding.message
-
-    def test_rl101_unregistered_partitioner(self, tmp_path):
-        files = dict(_REGISTRY_FIXTURE)
-        files["repro/partitioning/registry.py"] = _registry_source(
-            "    'ecr': False,\n"
-            "    'ldg': True,\n"
-        )
-        files["repro/partitioning/edge_cut/fancy.py"] = (
-            "from repro.partitioning.base import VertexPartitioner\n"
-            "\n"
-            "class FancyPartitioner(VertexPartitioner):\n"
-            "    def __init__(self, seed=None):\n"
-            "        self.seed = seed\n"
-        )
-        finding = single(findings_for(tmp_path, files), "RL101")
-        assert "FancyPartitioner" in finding.message
-        assert finding.path.endswith("fancy.py")
-
-    def test_rl101_consistent_registry_is_clean(self, tmp_path):
-        files = dict(_REGISTRY_FIXTURE)
-        files["repro/partitioning/registry.py"] = _registry_source(
-            "    'ecr': False,\n"
-            "    'ldg': True,\n"
-        )
-        assert findings_for(tmp_path, files) == []
-
-
 class TestOtherContracts:
-    def test_rl102_dangling_all_name(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "repro/metrics/__init__.py":
-                "def replication_factor():\n"
-                "    pass\n"
-                "\n"
-                "__all__ = ['replication_factor', 'edge_cut_ratio']\n",
-        })
-        finding = single(findings, "RL102")
-        assert "'edge_cut_ratio'" in finding.message
-        assert finding.line == 4
-
-    def test_rl102_duplicate_entry(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "repro/metrics/__init__.py":
-                "x = 1\n__all__ = ['x', 'x']\n",
-        })
-        assert "duplicate" in single(findings, "RL102").message
-
-    def test_rl104_unknown_span_name(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "repro/analytics/engine.py":
-                "def run(tracer):\n"
-                "    sid = tracer.begin('gas.superstep', 0.0)\n"
-                "    tracer.end(sid, 1.0)\n",
-            "repro/tools/trace_cli.py":
-                "DEFAULT_FILTER = 'gas.compute'\n",
-        })
-        finding = single(findings, "RL104")
-        assert "'gas.compute'" in finding.message
-        assert finding.path.endswith("tools/trace_cli.py")
-
-    def test_rl104_known_span_name_is_clean(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "repro/analytics/engine.py":
-                "def run(tracer):\n"
-                "    sid = tracer.begin('gas.superstep', 0.0)\n"
-                "    tracer.end(sid, 1.0)\n",
-            "repro/tools/trace_cli.py":
-                "DEFAULT_FILTER = 'gas.superstep'\n"
-                "OUTPUT = 'trace.jsonl'\n",  # filename, not a span name
-        })
-        assert findings == []
-
-    def test_rl105_import_missing_from_all(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "repro/__init__.py":
-                "from repro.errors import ReproError, ConfigurationError\n"
-                "\n"
-                "__all__ = ['ReproError']\n",
-            "repro/errors.py":
-                "class ReproError(Exception):\n    pass\n"
-                "class ConfigurationError(ReproError):\n    pass\n",
-        })
-        finding = single(findings, "RL105")
-        assert "'ConfigurationError'" in finding.message
-
-    def test_rl106_unregistered_span(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "repro/service/__init__.py":
-                "SPAN_NAMES = ('service.run',)\n",
-            "repro/service/core.py":
-                "def run(tracer):\n"
-                "    tracer.begin('service.run', 0.0)\n"
-                "    tracer.point('service.rogue', 1.0)\n",
-        })
-        finding = single(findings, "RL106")
-        assert "'service.rogue'" in finding.message
-        assert finding.path.endswith("service/core.py")
-
-    def test_rl106_wrong_prefix(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "repro/service/__init__.py":
-                "SPAN_NAMES = ('service.run',)\n",
-            "repro/service/core.py":
-                "def run(tracer):\n"
-                "    tracer.begin('service.run', 0.0)\n"
-                "    tracer.point('db.sneaky', 1.0)\n",
-        })
-        finding = single(findings, "RL106")
-        assert "'service.' prefix" in finding.message
-
-    def test_rl106_dangling_registry_entry(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "repro/service/__init__.py":
-                "SPAN_NAMES = ('service.run', 'service.ghost')\n",
-            "repro/service/core.py":
-                "def run(tracer):\n"
-                "    tracer.begin('service.run', 0.0)\n",
-        })
-        finding = single(findings, "RL106")
-        assert "'service.ghost'" in finding.message
-        assert finding.path.endswith("service/__init__.py")
-
-    def test_rl106_local_rng_shadow(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "repro/service/__init__.py":
-                "SPAN_NAMES = ()\n",
-            "repro/service/traffic.py":
-                "def make_rng(seed):\n"
-                "    return None\n"
-                "def draw(seed):\n"
-                "    return make_rng(seed)\n",
-        })
-        finding = single(findings, "RL106")
-        assert "repro.rng" in finding.message
-
-    def test_rl106_clean_service_fixture(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "repro/service/__init__.py":
-                "SPAN_NAMES = ('service.run',)\n",
-            "repro/service/core.py":
-                "from repro.rng import make_rng\n"
-                "def run(tracer, seed):\n"
-                "    rng = make_rng(seed)\n"
-                "    tracer.begin('service.run', 0.0)\n"
-                "    return rng\n",
-        })
-        assert [f.code for f in findings] == []
-
-    def test_rl107_unregistered_metric(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "repro/telemetry/metrics.py":
-                "METRIC_NAMES = ('db.hits',)\n",
-            "repro/database/sim.py":
-                "def run(metrics):\n"
-                "    metrics.counter('db.hits').inc()\n"
-                "    metrics.gauge('db.rogue').set(1.0)\n",
-        })
-        finding = single(findings, "RL107")
-        assert "'db.rogue'" in finding.message
-        assert finding.path.endswith("database/sim.py")
-
-    def test_rl107_dangling_registry_entry(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "repro/telemetry/metrics.py":
-                "METRIC_NAMES = ('db.ghost', 'db.hits')\n",
-            "repro/database/sim.py":
-                "def run(metrics):\n"
-                "    metrics.counter('db.hits').inc()\n",
-        })
-        finding = single(findings, "RL107")
-        assert "'db.ghost'" in finding.message
-        assert finding.path.endswith("telemetry/metrics.py")
-
-    def test_rl107_unsorted_registry(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "repro/telemetry/metrics.py":
-                "METRIC_NAMES = ('db.hits', 'db.errors')\n",
-            "repro/database/sim.py":
-                "def run(metrics):\n"
-                "    metrics.counter('db.hits').inc()\n"
-                "    metrics.counter('db.errors').inc()\n",
-        })
-        finding = single(findings, "RL107")
-        assert "sorted" in finding.message
-        assert "'db.errors'" in finding.message
-
-    def test_rl107_fstring_family_needs_wildcard(self, tmp_path):
-        findings = findings_for(tmp_path, {
-            "repro/telemetry/metrics.py":
-                "METRIC_NAMES = ('db.hits',)\n",
-            "repro/orchestrator/cache.py":
-                "def record(metrics, outcome):\n"
-                "    metrics.counter('db.hits').inc()\n"
-                "    metrics.counter(f'cache.{outcome}').inc()\n",
-        })
-        finding = single(findings, "RL107")
-        assert "wildcard" in finding.message
-        assert finding.path.endswith("orchestrator/cache.py")
-
-    def test_rl107_clean_metrics_fixture(self, tmp_path):
-        # Exact names, a wildcard-covered f-string family, and the
-        # aliased-name call form (gauge = metrics.gauge) all register.
-        findings = findings_for(tmp_path, {
-            "repro/telemetry/metrics.py":
-                "METRIC_NAMES = ('cache.*', 'db.hits', 'db.lag')\n",
-            "repro/orchestrator/cache.py":
-                "def record(metrics, outcome):\n"
-                "    metrics.counter('db.hits').inc()\n"
-                "    metrics.counter(f'cache.{outcome}').inc()\n"
-                "    gauge = metrics.gauge\n"
-                "    gauge('db.lag').set(0.5)\n",
-        })
-        assert [f.code for f in findings] == []
-
-
     def test_rl108_memmap_outside_ingest(self, tmp_path):
         findings = findings_for(tmp_path, {
             "repro/graph/cachefile.py":
@@ -756,7 +449,7 @@ class TestCli:
         assert payload["clean"] is False
         assert payload["findings"][0]["code"] == "RL002"
         assert payload["findings"][0]["line"] == 1
-        assert "RL101" in payload["rules"]
+        assert "RL108" in payload["rules"]
 
     def test_json_schema_is_versioned(self, tmp_path, capsys):
         import json
@@ -802,10 +495,22 @@ class TestCli:
         assert lint_main([str(tmp_path), "--select", "RL999"]) == EXIT_USAGE
         assert "unknown rule code" in capsys.readouterr().err
 
+    def test_missing_path_is_usage_error(self, tmp_path, capsys):
+        """A misspelt path fails before any linting instead of passing
+        as a clean run over zero files."""
+        write_tree(tmp_path, {"repro/database/bad.py": "import random\n"})
+        typo, gone = tmp_path / "scr", tmp_path / "nope.py"
+        assert lint_main([str(tmp_path), str(typo), str(gone)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"no such file or directory: {typo}",
+            f"no such file or directory: {gone}"]
+        assert captured.out == ""
+
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
-        for code in ("RL001", "RL006", "RL101", "RL105"):
+        for code in ("RL001", "RL006", "RL108", "RL201"):
             assert code in out
 
     def test_python_m_repro_lint_dispatch(self, tmp_path, capsys):

@@ -8,7 +8,8 @@ were recorded before the epoch loop's traffic sampler and mutation-log
 replay were rewritten for speed; a change that shifts a single draw or
 reorders a single edge fails here.
 
-Scenarios: the ``serve-sim`` CLI (default and ``--epochs 10``), the two
+Scenarios: the ``serve-sim`` CLI (default and ``--epochs 10``, the latter
+also traced, to check its span names against ``SPAN_NAMES``), the two
 ``benchmarks/bench_service.py --profile smoke`` configs, one run under a
 :class:`~repro.faults.FaultSchedule`, one with ``slo_degradation`` on
 (it pages, so the degraded queue bound is exercised), and the
@@ -24,12 +25,13 @@ from pathlib import Path
 
 import pytest
 
+from repro import telemetry
 from repro.experiments import EXPERIMENTS
 from repro.experiments.runner import ExperimentContext
 from repro.faults import FaultSchedule, SlowdownInterval
 from repro.graph.generators import ldbc_like
 from repro.orchestrator import report_digest
-from repro.service import PartitionedGraphService, ServiceConfig
+from repro.service import SPAN_NAMES, PartitionedGraphService, ServiceConfig
 from repro.service.cli import main as serve_sim
 
 GOLDEN = json.loads((Path(__file__).parent / "data_service_digests.json")
@@ -59,15 +61,34 @@ def firing_graph():
     return ldbc_like(num_vertices=800, avg_degree=10.0, seed=11)
 
 
-@pytest.mark.parametrize("argv", [[], ["--epochs", "10"]],
-                         ids=["default", "epochs-10"])
-def test_serve_sim_digest(argv):
+def _serve_sim_digest(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert serve_sim(argv) == 0
     digest = re.search(r"^digest: (\w+)$", out.getvalue(), re.M)
     assert digest is not None
-    assert digest.group(1) == GOLDEN[" ".join(["serve-sim", *argv])]
+    return digest.group(1)
+
+
+@pytest.mark.parametrize("argv", [[], ["--epochs", "10"]],
+                         ids=["default", "epochs-10"])
+def test_serve_sim_digest(argv):
+    assert _serve_sim_digest(argv) == GOLDEN[" ".join(["serve-sim", *argv])]
+
+
+def test_traced_serve_sim_emits_exactly_the_registered_spans():
+    """The ``service.*`` spans a traced run emits are exactly
+    ``SPAN_NAMES``, and tracing changes no draw."""
+    with telemetry.recording() as tracer:
+        digest = _serve_sim_digest(["--epochs", "10"])
+    emitted = {span.name for span in tracer.spans
+               if span.name.startswith("service.")}
+    unregistered = sorted(emitted - set(SPAN_NAMES))
+    never_emitted = sorted(set(SPAN_NAMES) - emitted)
+    assert not unregistered and not never_emitted, (
+        f"emitted but not in SPAN_NAMES: {unregistered}; "
+        f"in SPAN_NAMES but never emitted: {never_emitted}")
+    assert digest == GOLDEN["serve-sim --epochs 10"]
 
 
 @pytest.mark.parametrize("label", ["no_migration", "migration"])

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro import telemetry
+from repro.errors import ConfigurationError
 from repro.metrics.runtime import summarize
 from repro.telemetry import (
     MetricsRegistry,
@@ -203,55 +204,65 @@ class TestMetricsRegistry:
 
     def test_gauge(self):
         reg = MetricsRegistry()
-        reg.gauge("state").set(7)
-        reg.gauge("state").set(4)
-        assert reg.value("state") == 4.0
+        reg.gauge("ingest.peak_bytes").set(7)
+        reg.gauge("ingest.peak_bytes").set(4)
+        assert reg.value("ingest.peak_bytes") == 4.0
 
     def test_absent_value_default(self):
         assert MetricsRegistry().value("nope", default=-1.0) == -1.0
 
     def test_type_mismatch_raises(self):
         reg = MetricsRegistry()
-        reg.counter("x")
+        reg.counter("db.retries")
         with pytest.raises(TypeError):
-            reg.histogram("x")
+            reg.histogram("db.retries")
         with pytest.raises(TypeError):
-            reg.gauge("x")
+            reg.gauge("db.retries")
+
+    def test_unregistered_name_rejected_at_creation(self):
+        reg = MetricsRegistry()
+        for create in (reg.counter, reg.gauge, reg.histogram):
+            with pytest.raises(ConfigurationError, match="'made.up.metric'"):
+                create("made.up.metric")
+        assert "made.up.metric" not in reg
+        # A name under a wildcard entry (``cache.*``) is registered.
+        reg.counter("cache.hits.partition").inc()
+        assert reg.value("cache.hits.partition") == 1.0
 
     def test_histogram_summary_has_tail_percentiles(self):
         reg = MetricsRegistry()
-        reg.histogram("lat").observe_many(range(1, 101))
-        summary = reg.summary("lat")
+        reg.histogram("db.query.latency_seconds").observe_many(range(1, 101))
+        summary = reg.summary("db.query.latency_seconds")
         assert summary.p95 == pytest.approx(95.05)
         assert summary.p99 == pytest.approx(99.01)
         assert summary.maximum == 100.0
-        assert reg.histogram("lat").count == 100
+        assert reg.histogram("db.query.latency_seconds").count == 100
 
     def test_value_on_histogram_raises(self):
         reg = MetricsRegistry()
-        reg.histogram("h").observe(1.0)
+        reg.histogram("db.worker.busy_seconds").observe(1.0)
         with pytest.raises(TypeError):
-            reg.value("h")
+            reg.value("db.worker.busy_seconds")
 
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
-        reg.counter("c").inc(2)
-        reg.gauge("g").set(1.5)
-        reg.histogram("h").observe_many([1.0, 2.0, 3.0])
+        reg.counter("db.timeouts").inc(2)
+        reg.gauge("ingest.peak_bytes").set(1.5)
+        reg.histogram("db.worker.busy_seconds").observe_many([1.0, 2.0, 3.0])
         snap = reg.snapshot()
-        assert snap["counters"] == {"c": 2.0}
-        assert snap["gauges"] == {"g": 1.5}
-        assert snap["histograms"]["h"]["count"] == 3
+        assert snap["counters"] == {"db.timeouts": 2.0}
+        assert snap["gauges"] == {"ingest.peak_bytes": 1.5}
+        assert snap["histograms"]["db.worker.busy_seconds"]["count"] == 3
         assert {"min", "p25", "median", "p75", "p95", "p99", "max",
-                "mean"} <= set(snap["histograms"]["h"])
+                "mean"} <= set(snap["histograms"]["db.worker.busy_seconds"])
         json.dumps(snap)  # JSON-ready
 
     def test_names_contains_len(self):
         reg = MetricsRegistry()
-        reg.counter("b")
-        reg.counter("a")
-        assert reg.names() == ["a", "b"]
-        assert "a" in reg and "zz" not in reg
+        reg.counter("db.timeouts")
+        reg.counter("db.retries")
+        assert reg.names() == ["db.retries", "db.timeouts"]
+        assert "db.retries" in reg and "zz" not in reg
         assert len(reg) == 2
 
 
@@ -378,3 +389,13 @@ class TestTraceCli:
         from repro.experiments.cli import main
         assert main(["trace", str(trace_file), "--no-flame"]) == 0
         assert "spans" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--top", "--max-depth"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_counts_below_one_are_usage_errors(self, trace_file, capsys,
+                                               flag, value):
+        from repro.tools.trace_cli import main
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(trace_file), flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err

@@ -60,6 +60,21 @@ class TestPartitionCli:
         assert main([edge_list_file, "-a", "quantum"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_constructor_type_error_propagates(self, edge_list_file,
+                                                monkeypatch):
+        """A TypeError raised inside a seedable constructor is a bug to
+        surface, not a cue to rebuild the partitioner without its seed."""
+        from repro.partitioning import LdgPartitioner, registry
+
+        def ldg(seed=None):
+            if seed is not None:
+                raise TypeError("genuine constructor bug")
+            return LdgPartitioner()
+
+        monkeypatch.setitem(registry._FACTORIES, "ldg", ldg)
+        with pytest.raises(TypeError, match="genuine constructor bug"):
+            main([edge_list_file, "-a", "ldg", "--seed", "5"])
+
     def test_orders_supported(self, edge_list_file, capsys):
         assert main([edge_list_file, "-a", "ldg", "-k", "4",
                      "--order", "bfs"]) == 0
