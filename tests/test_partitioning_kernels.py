@@ -59,6 +59,18 @@ CONFIGS = (
     ("dbh-partial", "dbh", {"degrees": "partial"}),
 )
 
+#: Ginger (HG) goldens: (label, degree threshold).  ldbc250's largest
+#: in-degree is 30, so at the default threshold of 100 phase 2 (hashing
+#: the in-edges of high-degree vertices) never runs there; 10 makes it.
+HG_CONFIGS = (("hg", 100), ("hg-t10", 10))
+#: MTS goldens per k.  The coarsening floor is max(12k, 48), so on these
+#: 250-300 vertex graphs k=32 skips coarsening altogether.  MTS ignores
+#: the stream order, so its keys carry none.
+MTS_KS = (8, 32)
+MTS_LABELS = tuple(f"{label}-k{k}" for label in ("mts", "mts-w")
+                   for k in MTS_KS)
+GRAPH_NAMES = ("twitter300", "ldbc250")
+
 
 @pytest.fixture(scope="module")
 def golden_graphs():
@@ -68,9 +80,17 @@ def golden_graphs():
     }
 
 
-def _digest(assignment: np.ndarray) -> str:
-    data = np.ascontiguousarray(assignment, dtype=np.int32).tobytes()
+def _digest(*arrays: np.ndarray) -> str:
+    data = b"".join(np.ascontiguousarray(a, dtype=np.int32).tobytes()
+                    for a in arrays)
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _access_weights(graph: Graph) -> np.ndarray:
+    """Seeded integer vertex weights, about a quarter of them zero, so
+    MTS-W's weight-floor path runs."""
+    rng = np.random.default_rng(17)
+    return rng.integers(0, 4, size=graph.num_vertices).astype(np.float64)
 
 
 def _construct(factory_kwargs, algorithm, seed):
@@ -82,10 +102,14 @@ def _construct(factory_kwargs, algorithm, seed):
 
 class TestGoldenDigests:
     def test_matrix_is_complete(self):
+        streamed = [label for label, _, _ in CONFIGS]
+        streamed += [label for label, _ in HG_CONFIGS]
         expected = {f"{g}/{label}/{o}/s{s}"
-                    for g in ("twitter300", "ldbc250")
-                    for label, _, _ in CONFIGS
+                    for g in GRAPH_NAMES for label in streamed
                     for o in ORDERS for s in SEEDS}
+        expected |= {f"{g}/{label}/s{s}"
+                     for g in GRAPH_NAMES for label in MTS_LABELS
+                     for s in SEEDS}
         assert set(GOLDEN) == expected
 
     @pytest.mark.parametrize("graph_name", ("twitter300", "ldbc250"))
@@ -102,6 +126,38 @@ class TestGoldenDigests:
                 partition = partitioner.partition(graph, K,
                                                   order=order, seed=seed)
                 key = f"{graph_name}/{label}/{order}/s{seed}"
+                assert _digest(partition.assignment) == GOLDEN[key], key
+
+    @pytest.mark.parametrize("graph_name", GRAPH_NAMES)
+    @pytest.mark.parametrize("label,threshold", HG_CONFIGS,
+                             ids=[c[0] for c in HG_CONFIGS])
+    def test_ginger_matches_golden_digest(self, golden_graphs, graph_name,
+                                          label, threshold):
+        """Ginger's edge assignment and masters are both pinned."""
+        graph = golden_graphs[graph_name]
+        for order in ORDERS:
+            for seed in SEEDS:
+                partitioner = make_partitioner(
+                    "hg", degree_threshold=threshold, seed=100 + seed)
+                partition = partitioner.partition(graph, K,
+                                                  order=order, seed=seed)
+                key = f"{graph_name}/{label}/{order}/s{seed}"
+                assert _digest(partition.assignment,
+                               partition.masters) == GOLDEN[key], key
+
+    @pytest.mark.parametrize("graph_name", GRAPH_NAMES)
+    @pytest.mark.parametrize("weighted", (False, True),
+                             ids=("mts", "mts-w"))
+    def test_multilevel_matches_golden_digest(self, golden_graphs,
+                                              graph_name, weighted):
+        graph = golden_graphs[graph_name]
+        weights = _access_weights(graph) if weighted else None
+        for k in MTS_KS:
+            for seed in SEEDS:
+                partition = make_partitioner("mts", seed=100 + seed).partition(
+                    graph, k, seed=seed, vertex_weights=weights)
+                label = "mts-w" if weighted else "mts"
+                key = f"{graph_name}/{label}-k{k}/s{seed}"
                 assert _digest(partition.assignment) == GOLDEN[key], key
 
     @pytest.mark.parametrize("label,algorithm,kwargs",
