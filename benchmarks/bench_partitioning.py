@@ -4,7 +4,9 @@ Times every streaming algorithm twice on the same graph and stream
 order: the scalar pre-kernel loop snapshotted in
 :mod:`repro.partitioning._reference` ("before") and the kernelized
 registry implementation ("after"), asserting the two agree bit-for-bit
-before trusting the timings.  Writes
+before trusting the timings.  Ginger (HG) and the multilevel MTS
+baseline have no frozen loop, so they are timed "after" only and pinned
+by a ``digest`` of their assignment instead.  Writes
 ``benchmarks/output/BENCH_partitioning.json`` with vertices/sec (edge-cut
 family) and edges/sec (vertex-cut family) per algorithm plus the
 before→after speedup.
@@ -19,6 +21,7 @@ Run standalone — it does not need pytest::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -59,6 +62,12 @@ CONFIGS = (
     ("grid", "grid", {}, "edges"),
 )
 
+#: Rows without a reference loop: (label, registry name, stream unit).
+AFTER_ONLY = (
+    ("hg", "hg", "edges"),
+    ("mts", "mts", "vertices"),
+)
+
 
 def _best_of(fn, repeats: int) -> tuple[float, object]:
     """Minimum wall time over *repeats* runs (and the last result)."""
@@ -71,15 +80,25 @@ def _best_of(fn, repeats: int) -> tuple[float, object]:
     return best, result
 
 
+def _digest(assignment: np.ndarray) -> str:
+    data = np.ascontiguousarray(assignment, dtype=np.int32).tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _constructor_kwargs(algorithm: str, kwargs: dict) -> dict:
+    ctor = dict(kwargs)
+    if accepts_seed(algorithm):
+        ctor["seed"] = 100
+    return ctor
+
+
 def run(profile: str) -> dict:
     params = PROFILES[profile]
     graph = twitter_like(num_vertices=params["num_vertices"], seed=7)
     repeats = params["repeats"]
     results = {}
     for label, algorithm, kwargs, unit in CONFIGS:
-        ctor = dict(kwargs)
-        if accepts_seed(algorithm):
-            ctor["seed"] = 100
+        ctor = _constructor_kwargs(algorithm, kwargs)
         before_partitioner = REFERENCE_FACTORIES[algorithm](**ctor)
         after_partitioner = make_partitioner(algorithm, **ctor)
         before_seconds, before_result = _best_of(
@@ -109,6 +128,23 @@ def run(profile: str) -> dict:
         print(f"{label:12s} {unit:8s} before {before_seconds:7.3f}s  "
               f"after {after_seconds:7.3f}s  "
               f"x{results[label]['speedup']:.2f}")
+    for label, algorithm, unit in AFTER_ONLY:
+        partitioner = make_partitioner(algorithm,
+                                       **_constructor_kwargs(algorithm, {}))
+        after_seconds, after_result = _best_of(
+            lambda p=partitioner: p.partition(graph, K, order="random",
+                                              seed=SEED),
+            repeats)
+        elements = (graph.num_vertices if unit == "vertices"
+                    else graph.num_edges)
+        results[label] = {
+            "unit": unit,
+            "after_seconds": round(after_seconds, 4),
+            f"after_{unit}_per_second": round(elements / after_seconds, 1),
+            "digest": _digest(after_result.assignment),
+        }
+        print(f"{label:12s} {unit:8s} after {after_seconds:7.3f}s  "
+              f"digest {results[label]['digest']}")
     return {
         "schema": 1,
         "profile": profile,

@@ -18,6 +18,7 @@ arriving stream element into the partition maximising an objective
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Any, Iterable, Iterator
 
@@ -35,6 +36,22 @@ def check_num_partitions(k: Any) -> int:
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ConfigurationError(f"number of partitions must be a positive int, got {k!r}")
     return int(k)
+
+
+def check_finite_at_least(name: str, value: Any, minimum: float, *,
+                          strict: bool = False) -> None:
+    """Reject *value* unless it is a finite number ``>= minimum``
+    (``> minimum`` when *strict*), naming the parameter and the value.
+
+    NaN fails every comparison, so a bare ``value < minimum`` guard lets
+    it through.
+    """
+    if not (math.isfinite(value)
+            and (value > minimum if strict else value >= minimum)):
+        bound = ">" if strict else ">="
+        raise ConfigurationError(
+            f"{name} must be a finite number {bound} {minimum}, "
+            f"got {value!r}")
 
 
 def _checked_assignment(values: Any, num_partitions: int,

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.partitioning.base import (
     EdgePartition,
     EdgePartitioner,
+    check_finite_at_least,
     check_num_partitions,
 )
 from repro.partitioning.degree_state import (
@@ -152,10 +152,9 @@ class HdrfPartitioner(EdgePartitioner):
                  seed=None, state: str = "exact",
                  sketch_width: int = DEFAULT_SKETCH_WIDTH,
                  sketch_depth: int = DEFAULT_SKETCH_DEPTH):
-        if balance_weight <= 0:
-            raise ConfigurationError("balance_weight (lambda) must be positive")
-        if balance_slack < 1.0:
-            raise ConfigurationError("balance_slack (beta) must be >= 1")
+        check_finite_at_least("balance_weight (lambda)", balance_weight, 0,
+                              strict=True)
+        check_finite_at_least("balance_slack (beta)", balance_slack, 1)
         self.balance_weight = balance_weight
         self.balance_slack = balance_slack
         self.seed = seed

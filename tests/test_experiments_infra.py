@@ -192,6 +192,40 @@ class TestRunner:
             {"partition", "bindings", "simulation"}
 
 
+class TestPartitioningCostTiming:
+    def test_timed_calls_run_untraced(self, monkeypatch, small_twitter):
+        """The report's seconds must not time tracemalloc's allocation
+        hook: per algorithm, three timed calls run untraced, then one
+        separate call runs traced for the peak-memory column."""
+        import tracemalloc
+
+        from repro.experiments import ablations
+
+        tracing: dict[str, list[bool]] = {}
+        make_seeded = ablations.make_seeded_partitioner
+
+        def recording_factory(algorithm, seed, **kwargs):
+            partitioner = make_seeded(algorithm, seed, **kwargs)
+            partition = partitioner.partition
+
+            def recording_partition(*args, **kw):
+                tracing.setdefault(algorithm, []).append(
+                    tracemalloc.is_tracing())
+                return partition(*args, **kw)
+
+            partitioner.partition = recording_partition
+            return partitioner
+
+        monkeypatch.setattr(ablations, "make_seeded_partitioner",
+                            recording_factory)
+        ctx = ExperimentContext(scale="quick")
+        monkeypatch.setattr(ctx, "graph", lambda dataset: small_twitter)
+        report = ablations.ablation_partitioning_cost(ctx)
+        assert set(tracing) == set(report.data["results"])
+        for algorithm, calls in tracing.items():
+            assert calls == [False, False, False, True], algorithm
+
+
 class TestSeedRegistry:
     def test_flags_match_constructor_signatures(self):
         import inspect

@@ -107,6 +107,24 @@ class TestGinger:
         with pytest.raises(ConfigurationError):
             GingerPartitioner(degree_threshold=-1)
 
+    def test_nan_threshold_rejected(self):
+        """A NaN threshold used to re-hash every in-edge."""
+        with pytest.raises(ConfigurationError, match="degree_threshold.*nan"):
+            GingerPartitioner(degree_threshold=float("nan"))
+
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf"), -0.5))
+    def test_bad_balance_coefficient_rejected(self, bad):
+        """NaN scores every partition alike (partition 0 wins); a negative
+        coefficient rewards the fullest partition."""
+        with pytest.raises(ConfigurationError,
+                           match=f"balance_coefficient.*{bad!r}"):
+            GingerPartitioner(balance_coefficient=bad)
+
+    def test_zero_balance_coefficient_allowed(self, small_twitter):
+        p = GingerPartitioner(balance_coefficient=0.0, seed=0).partition(
+            small_twitter, 4, order="random", seed=1)
+        assert p.is_complete()
+
     def test_star_hub_case(self):
         p = GingerPartitioner(seed=0).partition(star_graph(50), 4,
                                                 order="random", seed=1)

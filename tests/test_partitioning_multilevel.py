@@ -66,6 +66,22 @@ class TestMultilevelBasics:
         with pytest.raises(ConfigurationError):
             multilevel_partition(small_road, 4, balance_slack=0.9)
 
+    def test_nan_slack_rejected(self, small_road):
+        with pytest.raises(ConfigurationError, match="balance_slack.*nan"):
+            multilevel_partition(small_road, 4, balance_slack=float("nan"))
+        with pytest.raises(ConfigurationError, match="balance_slack.*nan"):
+            MultilevelPartitioner(balance_slack=float("nan"))
+
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+    def test_non_finite_vertex_weight_rejected(self, small_road, bad):
+        """One NaN or inf weight used to put every vertex in one
+        partition."""
+        weights = np.ones(small_road.num_vertices)
+        weights[7] = bad
+        with pytest.raises(ConfigurationError,
+                           match=f"vertex_weights.*{bad!r}.*vertex 7"):
+            multilevel_partition(small_road, 4, vertex_weights=weights)
+
 
 class TestVertexWeights:
     def test_weighted_balance(self, small_social):

@@ -207,6 +207,16 @@ class TestHdrf:
         with pytest.raises(ConfigurationError):
             HdrfPartitioner(balance_slack=0.8)
 
+    def test_non_finite_parameters_rejected(self):
+        """A NaN λ used to send every edge to partition 0."""
+        nan, inf = float("nan"), float("inf")
+        with pytest.raises(ConfigurationError, match="balance_weight.*nan"):
+            HdrfPartitioner(balance_weight=nan)
+        with pytest.raises(ConfigurationError, match="balance_weight.*inf"):
+            HdrfPartitioner(balance_weight=inf)
+        with pytest.raises(ConfigurationError, match="balance_slack.*nan"):
+            HdrfPartitioner(balance_slack=nan)
+
     def test_stream_interface_matches_convenience(self, small_social):
         stream = EdgeStream(small_social, "random", seed=4)
         direct = HdrfPartitioner(seed=3).partition_stream(

@@ -89,6 +89,34 @@ def test_property_conversion_preserves_cut_structure(graph, k):
         assert counts[v] == len(parts)
 
 
+@given(graph=graphs(), k=st.integers(min_value=1, max_value=9),
+       threshold=st.integers(min_value=1, max_value=8),
+       hash_seed=st.integers(min_value=0, max_value=2**16),
+       order=st.sampled_from(["natural", "random", "bfs"]))
+@_SETTINGS
+def test_property_ginger_in_edge_placement(graph, k, threshold, hash_seed,
+                                           order):
+    """Ginger's placement rule, checked from its definition rather than
+    its code: a vertex with in-degree <= threshold keeps every in-edge on
+    its master, every other in-edge lies where its source hashes, and
+    every vertex has a master."""
+    from repro.partitioning import GingerPartitioner
+    from repro.rng import SeededHash
+    partition = GingerPartitioner(
+        degree_threshold=threshold, hash_seed=hash_seed, seed=3,
+    ).partition(graph, k, order=order, seed=5)
+    masters = partition.masters
+    assert masters.shape == (graph.num_vertices,)
+    assert np.all((masters >= 0) & (masters < k))
+    in_degree = np.bincount(graph.dst, minlength=graph.num_vertices)
+    hasher = SeededHash(k, hash_seed)
+    for edge, (src, dst) in enumerate(zip(graph.src.tolist(),
+                                          graph.dst.tolist())):
+        expected = (masters[dst] if in_degree[dst] <= threshold
+                    else hasher(src))
+        assert partition.assignment[edge] == expected, (edge, src, dst)
+
+
 @given(graph=graphs(), k=st.integers(min_value=2, max_value=6),
        seed=st.integers(min_value=0, max_value=100))
 @_SETTINGS
