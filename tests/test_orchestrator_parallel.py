@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,11 @@ DERIVED = {
     "ablation-fault-tolerance": {"analytics": 4, "simulation": 3},
     "scale-sweep": {"ingest": 8},
 }
+
+#: Quick-scale digest of every report except ``ablation-partitioning-cost``,
+#: which reports wall time.
+LEDGER = json.loads((Path(__file__).parent / "data_report_digests.json")
+                    .read_text(encoding="utf-8"))
 
 
 @pytest.fixture
@@ -125,6 +132,15 @@ class TestReportDigest:
         stamped = self._report()
         stamped.stamp_provenance(wall_seconds=12.5, telemetry_spans=42)
         assert report_digest(self._report()) == report_digest(stamped)
+
+    def test_quick_run_matches_the_ledger(self, quick_run):
+        """Every deterministic quick report hashes to its recorded
+        digest, and the ledger covers every such report."""
+        digests = quick_run.result.digests
+        moved = sorted(name for name in LEDGER
+                       if digests.get(name) != LEDGER[name])
+        assert not moved, f"report digests moved: {moved}"
+        assert set(digests) - set(LEDGER) == {"ablation-partitioning-cost"}
 
     def test_numpy_payloads_hash_stably(self):
         import numpy as np
