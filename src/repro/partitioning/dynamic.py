@@ -28,6 +28,7 @@ from repro.partitioning.base import (
     UNASSIGNED,
     VertexPartition,
     argmax_with_ties,
+    check_finite_at_least,
 )
 from repro.rng import make_rng
 
@@ -46,8 +47,7 @@ class IncrementalEdgeCutPartitioner:
 
     def __init__(self, base: VertexPartition, balance_slack: float = 1.1,
                  seed=None):
-        if balance_slack < 1.0:
-            raise ConfigurationError("balance_slack (beta) must be >= 1")
+        check_finite_at_least("balance_slack (beta)", balance_slack, 1)
         if not base.is_complete():
             raise PartitioningError("base partitioning must be complete")
         self.num_partitions = base.num_partitions
@@ -166,8 +166,7 @@ def hermes_refine(
             f"same materialisation the partition was built for")
     if not partition.is_complete():
         raise PartitioningError("cannot refine an incomplete partitioning")
-    if balance_slack < 1.0:
-        raise ConfigurationError("balance_slack (beta) must be >= 1")
+    check_finite_at_least("balance_slack (beta)", balance_slack, 1)
     if max_moves is not None and max_moves < 0:
         raise ConfigurationError("max_moves must be >= 0 (or None)")
     rng = make_rng(seed)

@@ -19,6 +19,7 @@ from repro.errors import ConfigurationError
 from repro.partitioning.base import (
     VertexPartition,
     VertexPartitioner,
+    check_finite_at_least,
     check_num_partitions,
 )
 from repro.partitioning.kernels import (
@@ -54,8 +55,7 @@ class FennelPartitioner(VertexPartitioner):
                  load_cap: float = 1.1, seed=None):
         if gamma <= 1.0:
             raise ConfigurationError("gamma must be > 1")
-        if load_cap < 1.0:
-            raise ConfigurationError("load_cap (nu) must be >= 1")
+        check_finite_at_least("load_cap (nu)", load_cap, 1)
         self.gamma = gamma
         self.alpha = alpha
         self.load_cap = load_cap

@@ -29,6 +29,7 @@ from repro.partitioning.base import (
     UNASSIGNED,
     EdgePartitioner,
     VertexPartition,
+    check_finite_at_least,
     check_num_partitions,
     iter_edge_arrivals,
 )
@@ -63,8 +64,7 @@ class IogpPartitioner(EdgePartitioner):
 
     def __init__(self, balance_slack: float = 1.1,
                  reassignment_threshold: float = 0.5, hash_seed: int = 0):
-        if balance_slack < 1.0:
-            raise ConfigurationError("balance_slack (beta) must be >= 1")
+        check_finite_at_least("balance_slack (beta)", balance_slack, 1)
         if not 0.0 <= reassignment_threshold <= 1.0:
             raise ConfigurationError("reassignment_threshold must be in [0, 1]")
         self.balance_slack = balance_slack

@@ -17,10 +17,10 @@ import math
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.partitioning.base import (
     VertexPartition,
     VertexPartitioner,
+    check_finite_at_least,
     check_num_partitions,
 )
 from repro.partitioning.kernels import (
@@ -47,8 +47,7 @@ class LdgPartitioner(VertexPartitioner):
     name = "ldg"
 
     def __init__(self, balance_slack: float = 1.0, seed=None):
-        if balance_slack < 1.0:
-            raise ConfigurationError("balance_slack (beta) must be >= 1")
+        check_finite_at_least("balance_slack (beta)", balance_slack, 1)
         self.balance_slack = balance_slack
         self.seed = seed
 

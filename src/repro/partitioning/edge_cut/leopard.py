@@ -35,6 +35,7 @@ from repro.partitioning.base import (
     UNASSIGNED,
     EdgePartitioner,
     VertexPartition,
+    check_finite_at_least,
     check_num_partitions,
     iter_edge_arrivals,
 )
@@ -64,8 +65,7 @@ class LeopardPartitioner(EdgePartitioner):
                  reassignment_gain: float = 1.5,
                  replication_fraction: float = 0.3,
                  max_replicas: int = 3, hash_seed: int = 0):
-        if balance_slack < 1.0:
-            raise ConfigurationError("balance_slack (beta) must be >= 1")
+        check_finite_at_least("balance_slack (beta)", balance_slack, 1)
         if reassignment_gain < 1.0:
             raise ConfigurationError("reassignment_gain must be >= 1")
         if not 0.0 < replication_fraction <= 1.0:

@@ -24,6 +24,7 @@ from repro.errors import ConfigurationError
 from repro.partitioning.base import (
     VertexPartition,
     VertexPartitioner,
+    check_finite_at_least,
     check_num_partitions,
 )
 from repro.partitioning.edge_cut.fennel import FennelPartitioner
@@ -89,8 +90,7 @@ class RestreamingLdgPartitioner(_RestreamingBase):
 
     def __init__(self, num_passes: int = 5, balance_slack: float = 1.0, seed=None):
         super().__init__(num_passes=num_passes, seed=seed)
-        if balance_slack < 1.0:
-            raise ConfigurationError("balance_slack (beta) must be >= 1")
+        check_finite_at_least("balance_slack (beta)", balance_slack, 1)
         self.balance_slack = balance_slack
 
     def _make_kernel(self, k, num_vertices, num_edges):

@@ -24,6 +24,7 @@ from repro.partitioning.base import (
     VertexPartition,
     VertexPartitioner,
     argmax_with_ties,
+    check_finite_at_least,
     check_num_partitions,
 )
 from repro.rng import make_rng
@@ -56,8 +57,7 @@ class HeterogeneousLdgPartitioner(VertexPartitioner):
     name = "ldg-het"
 
     def __init__(self, shares, balance_slack: float = 1.0, seed=None):
-        if balance_slack < 1.0:
-            raise ConfigurationError("balance_slack (beta) must be >= 1")
+        check_finite_at_least("balance_slack (beta)", balance_slack, 1)
         self.shares = np.asarray(shares, dtype=np.float64)
         self.balance_slack = balance_slack
         self.seed = seed
@@ -103,8 +103,7 @@ class HeterogeneousFennelPartitioner(VertexPartitioner):
                  load_cap: float = 1.1, seed=None):
         if gamma <= 1.0:
             raise ConfigurationError("gamma must be > 1")
-        if load_cap < 1.0:
-            raise ConfigurationError("load_cap (nu) must be >= 1")
+        check_finite_at_least("load_cap (nu)", load_cap, 1)
         self.shares = np.asarray(shares, dtype=np.float64)
         self.gamma = gamma
         self.alpha = alpha

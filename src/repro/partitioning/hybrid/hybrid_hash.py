@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.partitioning.base import (
     EdgePartition,
     EdgePartitioner,
+    check_finite_at_least,
     check_num_partitions,
     edge_stream_arrays,
 )
@@ -44,8 +44,7 @@ class HybridHashPartitioner(EdgePartitioner):
 
     def __init__(self, degree_threshold: int = DEFAULT_DEGREE_THRESHOLD,
                  hash_seed: int = 0):
-        if degree_threshold < 1:
-            raise ConfigurationError("degree_threshold must be >= 1")
+        check_finite_at_least("degree_threshold", degree_threshold, 1)
         self.degree_threshold = degree_threshold
         self.hash_seed = hash_seed
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph.digraph import Graph
-from repro.partitioning.base import VertexPartition
+from repro.partitioning.base import VertexPartition, check_finite_at_least
 from repro.rng import make_rng
 
 
@@ -94,8 +94,7 @@ def taper_refine(
         raise PartitioningError("partition does not cover the graph")
     if not partition.is_complete():
         raise PartitioningError("cannot refine an incomplete partitioning")
-    if balance_slack < 1.0:
-        raise ConfigurationError("balance_slack (beta) must be >= 1")
+    check_finite_at_least("balance_slack (beta)", balance_slack, 1)
 
     rng = make_rng(seed)
     k = partition.num_partitions

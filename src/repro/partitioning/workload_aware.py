@@ -25,6 +25,7 @@ from repro.partitioning.base import (
     VertexPartition,
     VertexPartitioner,
     argmax_with_ties,
+    check_finite_at_least,
     check_num_partitions,
 )
 from repro.partitioning.multilevel import multilevel_partition
@@ -79,8 +80,7 @@ class WeightedLdgPartitioner(VertexPartitioner):
     name = "ldg-w"
 
     def __init__(self, vertex_weights, balance_slack: float = 1.0, seed=None):
-        if balance_slack < 1.0:
-            raise ConfigurationError("balance_slack (beta) must be >= 1")
+        check_finite_at_least("balance_slack (beta)", balance_slack, 1)
         self.vertex_weights = np.asarray(vertex_weights, dtype=np.float64)
         if (self.vertex_weights < 0).any():
             raise ConfigurationError("vertex_weights must be non-negative")

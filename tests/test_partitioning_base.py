@@ -5,6 +5,22 @@ import pytest
 
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph import EdgeStream
+from repro.graph.generators import path_graph
+from repro.partitioning import (
+    FennelPartitioner,
+    HeterogeneousFennelPartitioner,
+    HeterogeneousLdgPartitioner,
+    HybridHashPartitioner,
+    IncrementalEdgeCutPartitioner,
+    IogpPartitioner,
+    LdgPartitioner,
+    LeopardPartitioner,
+    RestreamingFennelPartitioner,
+    RestreamingLdgPartitioner,
+    WeightedLdgPartitioner,
+    hermes_refine,
+    taper_refine,
+)
 from repro.partitioning.base import (
     UNASSIGNED,
     EdgePartition,
@@ -27,6 +43,53 @@ class TestCheckNumPartitions:
     def test_invalid(self, bad):
         with pytest.raises(ConfigurationError):
             check_num_partitions(bad)
+
+
+_PATH = path_graph(8)
+_HALVES = VertexPartition(2, [0] * 4 + [1] * 4)
+
+#: Every bound check on a float parameter: (parameter, call with value).
+_BOUND_CHECKS = {
+    "ldg": ("balance_slack", lambda v: LdgPartitioner(balance_slack=v)),
+    "re-ldg": ("balance_slack",
+               lambda v: RestreamingLdgPartitioner(balance_slack=v)),
+    "re-fennel": ("load_cap",
+                  lambda v: RestreamingFennelPartitioner(load_cap=v)),
+    "fennel": ("load_cap", lambda v: FennelPartitioner(load_cap=v)),
+    "leopard": ("balance_slack",
+                lambda v: LeopardPartitioner(balance_slack=v)),
+    "iogp": ("balance_slack", lambda v: IogpPartitioner(balance_slack=v)),
+    "hcr": ("degree_threshold",
+            lambda v: HybridHashPartitioner(degree_threshold=v)),
+    "heterogeneous-ldg": ("balance_slack", lambda v:
+                          HeterogeneousLdgPartitioner([1, 1],
+                                                      balance_slack=v)),
+    "heterogeneous-fennel": ("load_cap", lambda v:
+                             HeterogeneousFennelPartitioner([1, 1],
+                                                            load_cap=v)),
+    "weighted-ldg": ("balance_slack", lambda v:
+                     WeightedLdgPartitioner(np.ones(8), balance_slack=v)),
+    "incremental": ("balance_slack", lambda v:
+                    IncrementalEdgeCutPartitioner(_HALVES, balance_slack=v)),
+    "taper_refine": ("balance_slack", lambda v: taper_refine(
+        _PATH, _HALVES, np.ones(_PATH.num_edges), balance_slack=v)),
+    "hermes_refine": ("balance_slack",
+                      lambda v: hermes_refine(_PATH, _HALVES,
+                                              balance_slack=v)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_BOUND_CHECKS))
+def test_bound_checks_reject_nan_and_inf(site):
+    """NaN fails every comparison, so a bare ``value < bound`` check
+    lets it through; each check names the parameter and the value, and
+    the bound itself stays valid."""
+    parameter, call = _BOUND_CHECKS[site]
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError,
+                           match=f"{parameter}.*{bad}"):
+            call(bad)
+    call(1.0)
 
 
 class TestVertexPartition:
