@@ -205,15 +205,14 @@ class OrchestratorResult:
     cache_stats: dict | None = None
     #: One MetricSample per finished job (process-global registry: the
     #: ``cache.*`` hit/miss counters plus the per-job wall histogram),
-    #: in completion order.  Empty when ``sample_metrics=False``.
+    #: in completion order.
     metric_samples: list = field(default_factory=list)
 
 
 def run_experiments(names=None, *, scale: str | None = None, jobs: int = 1,
                     cache: ArtifactCache | str | bool | None = True,
                     fingerprint: str | None = None,
-                    progress=None,
-                    sample_metrics: bool = True) -> OrchestratorResult:
+                    progress=None) -> OrchestratorResult:
     """Run *names* (default: every experiment) through the job DAG.
 
     Parameters
@@ -229,13 +228,13 @@ def run_experiments(names=None, *, scale: str | None = None, jobs: int = 1,
         self-contained).
     progress:
         Optional ``callback(done, total, job_id)`` invoked as jobs finish.
-    sample_metrics:
-        Record one :class:`~repro.telemetry.timeseries.MetricSample` of
-        the process-global registry per finished job (cache hit/miss
-        series + the ``orchestrator.job.wall_seconds`` histogram) into
-        ``result.metric_samples``.  Times are wall-clock seconds since
-        run start — the orchestrator lives outside simulated time, and
-        its samples never enter any digest.
+
+    One :class:`~repro.telemetry.timeseries.MetricSample` of the
+    process-global registry is recorded per finished job (cache hit/miss
+    series + the ``orchestrator.job.wall_seconds`` histogram) into
+    ``result.metric_samples``.  Times are wall-clock seconds since run
+    start — the orchestrator lives outside simulated time, and its
+    samples never enter any digest.
     """
     from repro.experiments import EXPERIMENTS
 
@@ -283,20 +282,17 @@ def run_experiments(names=None, *, scale: str | None = None, jobs: int = 1,
         for job in order
     }
 
-    sampler = TimeSeriesSampler(get_metrics(), enabled=sample_metrics)
-    if sample_metrics:
-        job_hist = get_metrics().histogram("orchestrator.job.wall_seconds")
-        last_tick = [0.0]
+    sampler = TimeSeriesSampler(get_metrics())
+    job_hist = get_metrics().histogram("orchestrator.job.wall_seconds")
+    last_tick = [0.0]
 
-        def observe_job(job_wall: float) -> None:
-            job_hist.observe(job_wall)
-            # Wall clocks may repeat at coarse resolution; clamp to keep
-            # the series monotone for the sampler's ordering contract.
-            tick = max(time.time() - started, last_tick[0])
-            last_tick[0] = tick
-            sampler.sample(tick)
-    else:
-        observe_job = None
+    def observe_job(job_wall: float) -> None:
+        job_hist.observe(job_wall)
+        # Wall clocks may repeat at coarse resolution; clamp to keep the
+        # series monotone for the sampler's ordering contract.
+        tick = max(time.time() - started, last_tick[0])
+        last_tick[0] = tick
+        sampler.sample(tick)
 
     outputs: dict[str, tuple] = {}
     if jobs <= 1 or len(order) <= 1:
@@ -304,8 +300,7 @@ def run_experiments(names=None, *, scale: str | None = None, jobs: int = 1,
             job_started = time.time()
             job_id, digest, report = _execute_job(tasks[job.job_id])
             outputs[job_id] = (digest, report)
-            if observe_job is not None:
-                observe_job(time.time() - job_started)
+            observe_job(time.time() - job_started)
             if progress is not None:
                 progress(index + 1, len(order), job_id)
     else:
@@ -361,11 +356,10 @@ def _prune_plan(plan, pending_names):
     return plan
 
 
-def _run_parallel(plan, order, tasks, jobs, progress, observe_job=None):
+def _run_parallel(plan, order, tasks, jobs, progress, observe_job):
     """Ready-set scheduling over a process pool.
 
-    ``observe_job`` (when sampling) receives each job's submit-to-finish
-    wall seconds — queue wait included, since that is what the pool's
+    ``observe_job`` receives each job's submit-to-finish wall seconds — queue wait included, since that is what the pool's
     critical path actually pays.
     """
     outputs: dict[str, tuple] = {}
@@ -405,8 +399,7 @@ def _run_parallel(plan, order, tasks, jobs, progress, observe_job=None):
                         f"job {job_id} failed: {exc}") from exc
                 outputs[finished_id] = (digest, report)
                 completed += 1
-                if observe_job is not None:
-                    observe_job(time.time() - submit_times[finished_id])
+                observe_job(time.time() - submit_times[finished_id])
                 if progress is not None:
                     progress(completed, total, finished_id)
                 for dependent in dependents.get(finished_id, ()):
