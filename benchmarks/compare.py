@@ -1,19 +1,18 @@
 """Diff fresh benchmark JSON against the committed baselines.
 
-``bench_partitioning.py``/``bench_service.py`` (and the pytest-benchmark
-sessions) write ``benchmarks/output/BENCH_*.json``; the blessed copies
-live under ``benchmarks/baselines/``.  This script pairs the two sets by
-filename and compares every throughput series — numeric leaves whose key
-contains ``_per_second`` (higher is better) plus the kernelization
-``speedup`` ratios — at matching JSON paths.  A fresh value more than
-``--tolerance`` (default 20%) below its baseline is a regression and the
-exit status is nonzero.  Every ``digest`` leaf must also equal its
+``benchmarks/bench.py`` writes ``benchmarks/output/BENCH_<suite>.json``;
+the blessed copies live under ``benchmarks/baselines/``.  This script
+pairs the two sets by filename and compares every throughput series —
+numeric leaves whose key contains ``_per_second`` (higher is better)
+plus the kernelization ``speedup`` ratios — at matching JSON paths.  A
+fresh value more than ``--tolerance`` (default 20%) below its baseline
+is a regression and the exit status is nonzero.  Every ``digest`` leaf must also equal its
 baseline exactly: the benchmarks are seeded, so a changed digest means
-the measured run computed something different.  A CI job can run a
-benchmark and gate on the result in two lines::
+the measured run computed something different.  CI runs every gated
+suite and gates on the result in two lines::
 
-    python benchmarks/bench_service.py --profile smoke
-    python benchmarks/compare.py BENCH_service.json
+    python benchmarks/bench.py --profile smoke
+    python benchmarks/compare.py
 
 Baselines are profile-stamped: a fresh file whose ``profile`` differs
 from the baseline's is a harness misconfiguration, not a regression, and

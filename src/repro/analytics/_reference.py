@@ -6,9 +6,9 @@ sort-free superstep rewrite — the PR 5 ``_reference.py`` pattern applied
 to the analytics substrate.  Purposes:
 
 1. **Equivalence gate** — ``tests/test_substrate_equivalence.py`` and
-   ``benchmarks/bench_substrates.py`` assert the production engine's
-   iteration stats, metrics, recovery events, and spans are
-   byte-identical to this snapshot.
+   the ``substrates`` suite of ``benchmarks/bench.py`` assert the
+   production engine's iteration stats, metrics, recovery events, and
+   spans are byte-identical to this snapshot.
 2. **Benchmark baseline** — the "before" supersteps/sec in
    ``BENCH_substrates.json``.
 

@@ -6,10 +6,10 @@ established for the streaming partitioners in
 ``repro.partitioning._reference``.  It exists for exactly two purposes:
 
 1. **Equivalence gate** — ``tests/test_substrate_equivalence.py`` and
-   ``benchmarks/bench_substrates.py`` assert that the production
-   simulator produces *byte-identical* results (latencies, per-worker
-   arrays, metric values, spans) against this snapshot across fault-free
-   and faulty scenarios.
+   the ``substrates`` suite of ``benchmarks/bench.py`` assert that the
+   production simulator produces *byte-identical* results (latencies,
+   per-worker arrays, metric values, spans) against this snapshot across
+   fault-free and faulty scenarios.
 2. **Benchmark baseline** — the "before" timings in
    ``BENCH_substrates.json`` come from running this loop.
 

@@ -4,7 +4,7 @@ The paper's datasets (Table 3) are substituted by synthetic generators of
 matching structure (see DESIGN.md §1).  Three scale profiles exist:
 
 * ``quick``   — seconds-scale runs, used by the test suite and the
-  pytest-benchmark harness;
+  benchmark harness;
 * ``default`` — the scale EXPERIMENTS.md numbers are produced at;
 * ``large``   — a stress profile for ad-hoc exploration.
 

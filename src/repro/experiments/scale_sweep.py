@@ -18,8 +18,8 @@ resident memory or wall-clock, and this experiment maps the surface:
 Every cell is one deterministic :meth:`ExperimentContext.ingest_run`;
 the summaries carry assignment digests, so any quality drift across
 refactors is byte-regressable.  Throughput is deliberately absent here
-(summaries must be cache-stable); ``benchmarks/bench_scale.py`` measures
-the same surface with timers on.
+(summaries must be cache-stable); the ``scale`` suite of
+``benchmarks/bench.py`` measures the same surface with timers on.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ serve two purposes:
   partitioners produce *bit-identical* assignments to these loops for
   every (algorithm, seed, stream order) pair in the test matrix — the
   port is a pure performance change, never a behavioural one;
-* ``benchmarks/bench_partitioning.py`` times them as the "before" side
-  of the before/after speedup it records in ``BENCH_partitioning.json``.
+* the ``partitioning`` suite of ``benchmarks/bench.py`` times them as
+  the "before" side of the before/after speedup it records in
+  ``BENCH_partitioning.json``.
 
 Nothing else should import this module; production code paths use the
 kernelized classes registered in :mod:`repro.partitioning.registry`.

@@ -10,7 +10,7 @@ reorders a single edge fails here.
 
 Scenarios: the ``serve-sim`` CLI (default and ``--epochs 10``, the latter
 also traced, to check its span names against ``SPAN_NAMES``), the two
-``benchmarks/bench_service.py --profile smoke`` configs, one run under a
+``benchmarks/bench.py service --profile smoke`` configs, one run under a
 :class:`~repro.faults.FaultSchedule` and one with ``slo_degradation`` on
 (it pages, so the degraded queue bound is exercised).  The quick-scale
 ``online-service`` and ``slo-ablation`` reports are pinned with every
@@ -45,7 +45,7 @@ FIRING = ServiceConfig(
 
 
 def _smoke_config(*, migration: bool) -> ServiceConfig:
-    """``bench_service.py``'s smoke-profile config."""
+    """The ``service`` benchmark suite's smoke-profile config."""
     return ServiceConfig(
         num_partitions=8, epochs=6, epoch_duration=0.2, seed=7,
         mutations_per_epoch=300, query_bindings_per_epoch=40,
