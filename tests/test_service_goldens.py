@@ -14,7 +14,9 @@ also traced, to check its span names against ``SPAN_NAMES``), the two
 :class:`~repro.faults.FaultSchedule` and one with ``slo_degradation`` on
 (it pages, so the degraded queue bound is exercised).  The quick-scale
 ``online-service`` and ``slo-ablation`` reports are pinned with every
-other report in ``tests/data_report_digests.json``.
+other report in ``tests/data_report_digests.json``; the two are also
+checked by name here, read from the session ``quick_run`` rather than
+run a second time.
 """
 
 import contextlib
@@ -34,6 +36,8 @@ from repro.service.cli import main as serve_sim
 
 GOLDEN = json.loads((Path(__file__).parent / "data_service_digests.json")
                     .read_text(encoding="utf-8"))
+REPORTS = json.loads((Path(__file__).parent / "data_report_digests.json")
+                     .read_text(encoding="utf-8"))
 
 #: A small drift-prone scenario (the one tests/test_service.py fires).
 FIRING = ServiceConfig(
@@ -114,3 +118,8 @@ def test_slo_degradation_digest(firing_graph):
     result = PartitionedGraphService(firing_graph, config=config).run()
     assert any(a.severity == "page" for a in result.alerts)
     assert result.digest() == GOLDEN["slo-degradation"]
+
+
+@pytest.mark.parametrize("name", ["online-service", "slo-ablation"])
+def test_quick_report_digest(name, quick_run):
+    assert quick_run.result.digests[name] == REPORTS[name]
