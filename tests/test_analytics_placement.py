@@ -128,3 +128,61 @@ class TestAccounting:
         placement = Placement(g, ep)
         assert placement.replication_factor() == 1.0
         assert placement.replication_factor(include_isolated=True) == 1.0
+
+
+# ----------------------------------------------------------------------
+# Byte pins: every array a Placement derives, for both master rules.
+# ----------------------------------------------------------------------
+#: ``(graph fixture, algorithm, k)`` -> sha256 prefix of every Placement
+#: array (dtype and bytes).  LDG and HCR carry explicit masters, HDRF and
+#: DBH get balanced masters; ``sparse`` (20 isolated vertices) and
+#: ``small_web`` (266) exercise the hashed masters of isolated vertices.
+PLACEMENT_PINS = {
+    ("small_twitter", "ldg", 8): "81661ef17960d7bc",
+    ("small_twitter", "hcr", 8): "b5e169449c591a63",
+    ("small_twitter", "hdrf", 8): "2728b08e6aafc524",
+    ("small_web", "dbh", 16): "889743368bf235cd",
+    ("sparse", "hdrf", 6): "b3900f4e811dab5e",
+    ("sparse", "ldg", 6): "2a82784826f0bdd5",
+}
+
+
+@pytest.fixture(scope="module")
+def sparse():
+    """400 vertices, 600 edges: 20 vertices have no incident edge."""
+    from repro.graph.generators import erdos_renyi
+    return erdos_renyi(400, 600, seed=106)
+
+
+def placement_digest(placement: Placement) -> str:
+    import hashlib
+
+    digest = hashlib.sha256()
+    arrays = {
+        "edge_parts": placement.edge_parts,
+        "master": placement.master,
+        "mirror_counts_all": placement.mirror_counts_all,
+        "mirror_counts_out": placement.mirror_counts_out,
+        "replica_counts": placement.replica_counts,
+        "all_pairs": placement.all_pairs,
+        "out_pairs": placement.out_pairs,
+        "replicas_per_partition": placement.replicas_per_partition(),
+    }
+    for name, array in arrays.items():
+        array = np.ascontiguousarray(array)
+        digest.update(f"{name}:{array.dtype}:{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(PLACEMENT_PINS),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_placement_arrays_are_pinned(case, request):
+    from repro.partitioning.registry import make_seeded_partitioner
+
+    fixture, algorithm, k = case
+    graph = request.getfixturevalue(fixture)
+    partition = make_seeded_partitioner(algorithm, seed=31).partition(
+        graph, k, seed=47)
+    assert placement_digest(Placement(graph, partition)) == \
+        PLACEMENT_PINS[case]
