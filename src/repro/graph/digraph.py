@@ -17,6 +17,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from repro.errors import GraphFormatError
+from repro.graph.sorting import stable_argsort
 
 #: Anything ``np.ascontiguousarray`` can turn into an endpoint array.
 EdgeEndpoints = Union[np.ndarray, Sequence[int]]
@@ -132,7 +133,7 @@ class Graph:
         ``order`` maps CSR slots back to original edge ids, so callers can
         recover which edge produced each adjacency entry.
         """
-        order = np.argsort(keys, kind="stable")
+        order = stable_argsort(keys)
         indices = values[order]
         counts = np.bincount(keys, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.errors import PartitioningError
 from repro.graph.digraph import Graph
+from repro.graph.sorting import sorted_unique
 from repro.partitioning.base import UNASSIGNED, EdgePartition, VertexPartition
 
 
@@ -72,7 +73,7 @@ def vertex_replica_counts(graph: Graph, partition: EdgePartition, *,
     vertex_ids = np.concatenate([src, dst])
     partitions = np.concatenate([assignment, assignment])
     pairs = vertex_ids.astype(np.int64) * k + partitions
-    unique_pairs = np.unique(pairs)
+    unique_pairs = sorted_unique(pairs)
     return np.bincount((unique_pairs // k).astype(np.int64), minlength=n)
 
 

@@ -19,6 +19,7 @@ PUBLIC_MODULES = (
     "repro.faults",
     "repro.graph",
     "repro.graph.generators",
+    "repro.graph.sorting",
     "repro.ingest",
     "repro.ingest.format",
     "repro.ingest.memory",
