@@ -57,6 +57,13 @@ class TestBfs:
         with pytest.raises(ConfigurationError):
             _drain(bfs, tiny_graph)
 
+    @pytest.mark.parametrize("max_iterations", [0, -1])
+    def test_max_iterations_below_one_rejected(self, max_iterations):
+        with pytest.raises(ConfigurationError,
+                           match=f"max_iterations must be >= 1, got "
+                                 f"{max_iterations}"):
+            BreadthFirstSearch(max_iterations=max_iterations)
+
     def test_runs_on_engine(self, small_road):
         vp = HashVertexPartitioner().partition(small_road, 4)
         bfs = BreadthFirstSearch(source=0)
@@ -118,6 +125,15 @@ class TestKCore:
     def test_invalid_k(self):
         with pytest.raises(ConfigurationError):
             KCore(k=0)
+
+    @pytest.mark.parametrize("max_iterations", [0, -1])
+    def test_max_iterations_below_one_rejected(self, max_iterations):
+        """Zero peeling rounds used to report every vertex of a path as
+        its 2-core; the 2-core of a path is empty."""
+        with pytest.raises(ConfigurationError,
+                           match=f"max_iterations must be >= 1, got "
+                                 f"{max_iterations}"):
+            KCore(k=2, max_iterations=max_iterations)
 
     def test_runs_on_engine(self, small_twitter):
         vp = HashVertexPartitioner().partition(small_twitter, 4)

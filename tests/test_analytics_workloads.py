@@ -115,6 +115,13 @@ class TestWcc:
         steps = _drain(wcc, path_graph(30))
         assert len(steps) >= 15
 
+    @pytest.mark.parametrize("max_iterations", [0, -1])
+    def test_max_iterations_below_one_rejected(self, max_iterations):
+        with pytest.raises(ConfigurationError,
+                           match=f"max_iterations must be >= 1, got "
+                                 f"{max_iterations}"):
+            WeaklyConnectedComponents(max_iterations=max_iterations)
+
 
 class TestSssp:
     def test_matches_bfs_on_symmetric_graph(self, small_road):
@@ -160,6 +167,20 @@ class TestSssp:
         bad_weights = SingleSourceShortestPath(source=0, edge_weights=[1.0])
         with pytest.raises(ConfigurationError):
             _drain(bad_weights, tiny_graph)
+
+    def test_nan_weight_names_the_edge(self):
+        """A NaN weight used to leave vertices 2 and 3 of this path at
+        NaN and inf: reachable vertices reported unreachable."""
+        with pytest.raises(ConfigurationError, match="edge 1 is NaN"):
+            SingleSourceShortestPath(source=0,
+                                     edge_weights=[1.0, np.nan, 1.0, 1.0])
+
+    @pytest.mark.parametrize("max_iterations", [0, -1])
+    def test_max_iterations_below_one_rejected(self, max_iterations):
+        with pytest.raises(ConfigurationError,
+                           match=f"max_iterations must be >= 1, got "
+                                 f"{max_iterations}"):
+            SingleSourceShortestPath(max_iterations=max_iterations)
 
     def test_direction_uni(self):
         assert SingleSourceShortestPath().direction == "uni"
