@@ -85,6 +85,58 @@ class TestMessageAccounting:
         assert run.iterations[-1].mirror_update_messages == 0
 
 
+def _remote_pairs(pairs, master) -> int:
+    """Pairs (vertex, partition) whose partition is not the master's."""
+    return sum(1 for vertex, part in pairs if part != master[vertex])
+
+
+class TestClosedFormCounts:
+    """Message counts taken from the placement with Python sets alone.
+
+    ``forward`` holds the distinct ``(dst, partition)`` pairs of all edges
+    (one gather partial per pair under all-active forward gathers),
+    ``reverse`` the distinct ``(src, partition)`` pairs (the out-edge
+    replicas).  Nothing here uses the engine's sorted keys or memos.
+    """
+
+    CASES = [("small_twitter", "ecr"), ("small_twitter", "ldg"),
+             ("small_twitter", "vcr"), ("small_twitter", "hdrf"),
+             ("small_twitter", "dbh"), ("small_twitter", "hcr"),
+             ("small_twitter", "hg"), ("small_web", "hdrf"),
+             ("small_web", "ldg")]
+
+    @pytest.fixture(params=CASES, ids=lambda case: "-".join(case))
+    def placed(self, request):
+        from repro.partitioning.registry import make_seeded_partitioner
+
+        fixture, algorithm = request.param
+        graph = request.getfixturevalue(fixture)
+        partition = make_seeded_partitioner(algorithm, seed=5).partition(
+            graph, 8, seed=9)
+        placement = Placement(graph, partition)
+        parts = placement.edge_parts.tolist()
+        forward = set(zip(graph.dst.tolist(), parts))
+        reverse = set(zip(graph.src.tolist(), parts))
+        return graph, placement, forward, reverse, placement.master.tolist()
+
+    def test_pagerank_every_superstep(self, placed):
+        graph, placement, forward, reverse, master = placed
+        gather = _remote_pairs(forward, master)
+        scattered = reverse if placement.locality_aware else forward | reverse
+        mirror = _remote_pairs(scattered, master)
+        run = GasEngine().run(graph, placement, PageRank(3))
+        assert run.num_iterations == 3
+        for it in run.iterations:
+            assert it.gather_messages == gather
+            assert it.mirror_update_messages == mirror
+
+    def test_wcc_first_superstep_gathers_both_directions(self, placed):
+        graph, placement, forward, reverse, master = placed
+        run = GasEngine().run(graph, placement, WeaklyConnectedComponents())
+        assert run.iterations[0].gather_messages == (
+            _remote_pairs(forward, master) + _remote_pairs(reverse, master))
+
+
 class TestCostModel:
     def test_compute_seconds(self):
         model = CostModel(seconds_per_edge=1e-6, seconds_per_vertex_op=1e-7)
