@@ -174,12 +174,14 @@ def digest_probe() -> dict:
     """A small, fully deterministic workload summarised as digests.
 
     Exercises the instrumented layers end to end: streaming kernels
-    (LDG/FENNEL/HDRF), the degree-state ranks, and the discrete-event
-    simulator.  Every value in the returned mapping is a string or int,
-    so the JSON form is byte-stable.
+    (LDG/FENNEL/HDRF), the degree-state ranks, the placement's balanced
+    masters and the GAS engine on the HDRF partition, and the
+    discrete-event simulator.  Every value in the returned mapping is a
+    string or int, so the JSON form is byte-stable.
     """
     import hashlib
 
+    from repro.analytics import GasEngine, Placement, WeaklyConnectedComponents
     from repro.database import WorkloadGenerator, simulate_workload
     from repro.graph.generators import erdos_renyi
     from repro.partitioning.degree_state import run_inclusive_ranks
@@ -191,11 +193,26 @@ def digest_probe() -> dict:
 
     graph = erdos_renyi(300, 1500, seed=11)
     digests: dict = {"probe": "repro.sanitize/1"}
+    partitions: dict = {}
     for name in ("ldg", "fennel", "hdrf"):
         partitioner = make_seeded_partitioner(name, seed=31)
-        part = partitioner.partition(graph, 6, seed=47)
+        partitions[name] = partitioner.partition(graph, 6, seed=47)
         digests[f"partition.{name}"] = sha(
-            part.assignment.astype(np.int32))
+            partitions[name].assignment.astype(np.int32))
+
+    # HDRF carries no masters, so the placement balances them; WCC
+    # gathers in both directions, so its apply step unions two target
+    # sets.
+    placement = Placement(graph, partitions["hdrf"])
+    digests["placement.hdrf.master"] = sha(placement.master)
+    run = GasEngine().run(graph, placement, WeaklyConnectedComponents())
+    supersteps = hashlib.sha256()
+    for it in run.iterations:
+        supersteps.update(np.array(
+            [it.gather_messages, it.mirror_update_messages],
+            dtype=np.int64).tobytes())
+        supersteps.update(np.ascontiguousarray(it.compute_seconds).tobytes())
+    digests["gas.wcc"] = supersteps.hexdigest()
 
     interleaved = np.empty(2 * graph.num_edges, dtype=np.int64)
     interleaved[0::2] = graph.src

@@ -88,6 +88,13 @@ class TestDigestParity:
         assert digests["probe"] == "repro.sanitize/1"
         assert all(isinstance(v, (str, int)) for v in digests.values())
 
+    def test_probe_covers_placement_and_gas(self):
+        """Balanced masters and a two-direction GAS run are digested, so
+        the hash-seed double run covers those layers too."""
+        digests = sanitize.digest_probe()
+        assert len(digests["placement.hdrf.master"]) == 64
+        assert len(digests["gas.wcc"]) == 64
+
 
 # ----------------------------------------------------------------------
 # Contract 3: each check catches its failure mode.
