@@ -26,7 +26,18 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.graph.digraph import Graph
+
+
+def check_at_least_one(name: str, value: int) -> None:
+    """Reject an iteration bound or count below 1, naming it and its value.
+
+    A bound of 0 runs no superstep, and the workload's ``result()`` then
+    reports its initial state as if it had converged.
+    """
+    if value < 1:
+        raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass

@@ -14,8 +14,11 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.analytics.workloads.base import IterationActivity, Workload
-from repro.errors import ConfigurationError
+from repro.analytics.workloads.base import (
+    IterationActivity,
+    Workload,
+    check_at_least_one,
+)
 from repro.graph.digraph import Graph
 
 
@@ -29,8 +32,7 @@ class LabelPropagation(Workload):
     direction = "bi"
 
     def __init__(self, max_iterations: int = 20):
-        if max_iterations < 1:
-            raise ConfigurationError("max_iterations must be >= 1")
+        check_at_least_one("max_iterations", max_iterations)
         self.max_iterations = max_iterations
         self._values: np.ndarray | None = None
 

@@ -15,7 +15,11 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.analytics.workloads.base import IterationActivity, Workload
+from repro.analytics.workloads.base import (
+    IterationActivity,
+    Workload,
+    check_at_least_one,
+)
 from repro.errors import ConfigurationError
 from repro.graph.digraph import Graph
 
@@ -35,8 +39,7 @@ class PageRank(Workload):
     direction = "uni"
 
     def __init__(self, num_iterations: int = 20, damping: float = 0.85):
-        if num_iterations < 1:
-            raise ConfigurationError("num_iterations must be >= 1")
+        check_at_least_one("num_iterations", num_iterations)
         if not 0.0 < damping < 1.0:
             raise ConfigurationError("damping must lie in (0, 1)")
         self.num_iterations = num_iterations
