@@ -54,6 +54,24 @@ def check_finite_at_least(name: str, value: Any, minimum: float, *,
             f"got {value!r}")
 
 
+def check_finite_entries(name: str, values: Any, *,
+                         positive: bool = False) -> np.ndarray:
+    """*values* as a float64 array whose entries are all finite and
+    ``>= 0`` (``> 0`` when *positive*); otherwise raise, naming the
+    first bad entry's index and value.
+    """
+    array = np.asarray(values, dtype=np.float64)
+    ok = np.isfinite(array) & ((array > 0) if positive else (array >= 0))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        index = int(bad[0])
+        bound = ">" if positive else ">="
+        raise ConfigurationError(
+            f"{name} {index} must be a finite number {bound} 0, "
+            f"got {float(array.flat[index])!r}")
+    return array
+
+
 def _checked_assignment(values: Any, num_partitions: int,
                         what: str) -> np.ndarray:
     """Contiguous int32 copy of *values* with every entry in

@@ -22,16 +22,14 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.partitioning.base import (
     EdgePartition,
-    EdgePartitioner,
     check_num_partitions,
     edge_stream_arrays,
 )
 from repro.partitioning.degree_state import (
     DEFAULT_SKETCH_DEPTH,
     DEFAULT_SKETCH_WIDTH,
-    make_degree_state,
 )
-from repro.partitioning.kernels import iter_edge_chunks
+from repro.partitioning.drivers import DegreeStatePartitioner
 from repro.rng import SeededHash
 
 
@@ -66,7 +64,7 @@ class DbhCore:
         self.sizes += np.bincount(choices, minlength=self.k)
 
 
-class DbhPartitioner(EdgePartitioner):
+class DbhPartitioner(DegreeStatePartitioner):
     """Degree-Based Hashing vertex-cut streaming partitioner."""
 
     name = "dbh"
@@ -77,38 +75,34 @@ class DbhPartitioner(EdgePartitioner):
                  sketch_depth: int = DEFAULT_SKETCH_DEPTH):
         if degrees not in ("exact", "partial"):
             raise ConfigurationError("degrees must be 'exact' or 'partial'")
+        super().__init__(state, sketch_width, sketch_depth)
         self.hash_seed = hash_seed
         self.degrees = degrees
-        self.state = state
-        self.sketch_width = sketch_width
-        self.sketch_depth = sketch_depth
+
+    def _make_core(self, k, num_vertices, num_edges, degrees):
+        return DbhCore(k, self.hash_seed, degrees=degrees)
 
     def partition_stream(self, stream, num_partitions: int, *,
                          num_vertices: int, num_edges: int) -> EdgePartition:
+        if self.degrees == "partial":
+            # Reads only the counters a scalar loop would hold at each
+            # arrival, accumulated chunk by chunk: file-backed streams
+            # never materialise.
+            return super().partition_stream(stream, num_partitions,
+                                            num_vertices=num_vertices,
+                                            num_edges=num_edges)
         k = check_num_partitions(num_partitions)
+        graph = getattr(stream, "graph", None)
+        if graph is None:
+            raise ConfigurationError(
+                "degrees='exact' needs a graph-backed stream; "
+                "use degrees='partial' for external streams"
+            )
+        # With a-priori degrees the rule is stateless: bulk-evaluate.
         assignment = np.full(num_edges, -1, dtype=np.int32)
-
-        if self.degrees == "exact":
-            graph = getattr(stream, "graph", None)
-            if graph is None:
-                raise ConfigurationError(
-                    "degrees='exact' needs a graph-backed stream; "
-                    "use degrees='partial' for external streams"
-                )
-            # With a-priori degrees the rule is stateless: bulk-evaluate.
-            hasher = SeededHash(k, self.hash_seed)
-            degree = graph.degree
-            edge_ids, src, dst = edge_stream_arrays(stream)
-            lower = np.where(degree[src] < degree[dst], src, dst)
-            assignment[edge_ids] = hasher(lower)
-        else:
-            # Partial mode reads only the counters a scalar loop would
-            # hold at each arrival — accumulated chunk by chunk, so
-            # file-backed streams never materialise.
-            state = make_degree_state(self.state, num_vertices,
-                                      sketch_width=self.sketch_width,
-                                      sketch_depth=self.sketch_depth)
-            core = DbhCore(k, self.hash_seed, degrees=state)
-            for edge_ids, src_arr, dst_arr in iter_edge_chunks(stream):
-                core.process_chunk(edge_ids, src_arr, dst_arr, assignment)
+        hasher = SeededHash(k, self.hash_seed)
+        degree = graph.degree
+        edge_ids, src, dst = edge_stream_arrays(stream)
+        lower = np.where(degree[src] < degree[dst], src, dst)
+        assignment[edge_ids] = hasher(lower)
         return EdgePartition(k, assignment, algorithm=self.name)

@@ -25,21 +25,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.partitioning.base import (
-    EdgePartition,
-    EdgePartitioner,
-    check_num_partitions,
-)
 from repro.partitioning.degree_state import (
     DEFAULT_SKETCH_DEPTH,
     DEFAULT_SKETCH_WIDTH,
-    make_degree_state,
 )
-from repro.partitioning.kernels import (
-    argmin_with_ties_inline,
-    iter_edge_chunks,
-    zip_chunked,
-)
+from repro.partitioning.drivers import DegreeStatePartitioner
+from repro.partitioning.kernels import argmin_with_ties_inline, zip_chunked
 from repro.rng import make_rng
 
 
@@ -103,7 +94,7 @@ class GreedyCore:
             replicas[dst, choice] = True
 
 
-class GreedyVertexCutPartitioner(EdgePartitioner):
+class GreedyVertexCutPartitioner(DegreeStatePartitioner):
     """PowerGraph-style greedy vertex-cut streaming partitioner."""
 
     name = "greedy"
@@ -111,20 +102,9 @@ class GreedyVertexCutPartitioner(EdgePartitioner):
     def __init__(self, seed=None, state: str = "exact",
                  sketch_width: int = DEFAULT_SKETCH_WIDTH,
                  sketch_depth: int = DEFAULT_SKETCH_DEPTH):
+        super().__init__(state, sketch_width, sketch_depth)
         self.seed = seed
-        self.state = state
-        self.sketch_width = sketch_width
-        self.sketch_depth = sketch_depth
 
-    def partition_stream(self, stream, num_partitions: int, *,
-                         num_vertices: int, num_edges: int) -> EdgePartition:
-        k = check_num_partitions(num_partitions)
-        assignment = np.full(num_edges, -1, dtype=np.int32)
-        degrees = make_degree_state(self.state, num_vertices,
-                                    sketch_width=self.sketch_width,
-                                    sketch_depth=self.sketch_depth)
-        core = GreedyCore(k, num_vertices, degrees=degrees,
+    def _make_core(self, k, num_vertices, num_edges, degrees):
+        return GreedyCore(k, num_vertices, degrees=degrees,
                           rng=make_rng(self.seed))
-        for edge_ids, src_arr, dst_arr in iter_edge_chunks(stream):
-            core.process_chunk(edge_ids, src_arr, dst_arr, assignment)
-        return EdgePartition(k, assignment, algorithm=self.name)

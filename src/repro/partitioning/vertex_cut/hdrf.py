@@ -24,22 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.partitioning.base import (
-    EdgePartition,
-    EdgePartitioner,
-    check_finite_at_least,
-    check_num_partitions,
-)
+from repro.partitioning.base import check_finite_at_least
 from repro.partitioning.degree_state import (
     DEFAULT_SKETCH_DEPTH,
     DEFAULT_SKETCH_WIDTH,
-    make_degree_state,
 )
-from repro.partitioning.kernels import (
-    argmax_tie_least_loaded,
-    iter_edge_chunks,
-    zip_chunked,
-)
+from repro.partitioning.drivers import DegreeStatePartitioner
+from repro.partitioning.kernels import argmax_tie_least_loaded, zip_chunked
 from repro.rng import make_rng
 from repro.telemetry import get_tracer
 
@@ -125,7 +116,7 @@ class HdrfCore:
             replicas[dst, choice] = True
 
 
-class HdrfPartitioner(EdgePartitioner):
+class HdrfPartitioner(DegreeStatePartitioner):
     """HDRF vertex-cut streaming partitioner.
 
     Parameters
@@ -152,27 +143,16 @@ class HdrfPartitioner(EdgePartitioner):
                  seed=None, state: str = "exact",
                  sketch_width: int = DEFAULT_SKETCH_WIDTH,
                  sketch_depth: int = DEFAULT_SKETCH_DEPTH):
+        super().__init__(state, sketch_width, sketch_depth)
         check_finite_at_least("balance_weight (lambda)", balance_weight, 0,
                               strict=True)
         check_finite_at_least("balance_slack (beta)", balance_slack, 1)
         self.balance_weight = balance_weight
         self.balance_slack = balance_slack
         self.seed = seed
-        self.state = state
-        self.sketch_width = sketch_width
-        self.sketch_depth = sketch_depth
 
-    def partition_stream(self, stream, num_partitions: int, *,
-                         num_vertices: int, num_edges: int) -> EdgePartition:
-        k = check_num_partitions(num_partitions)
+    def _make_core(self, k, num_vertices, num_edges, degrees):
         capacity = max(1.0, self.balance_slack * num_edges / k)
-        assignment = np.full(num_edges, -1, dtype=np.int32)
-        degrees = make_degree_state(self.state, num_vertices,
-                                    sketch_width=self.sketch_width,
-                                    sketch_depth=self.sketch_depth)
-        core = HdrfCore(k, num_vertices, capacity=capacity,
+        return HdrfCore(k, num_vertices, capacity=capacity,
                         balance_weight=self.balance_weight, degrees=degrees,
                         rng=make_rng(self.seed), tracer=get_tracer())
-        for edge_ids, src_arr, dst_arr in iter_edge_chunks(stream):
-            core.process_chunk(edge_ids, src_arr, dst_arr, assignment)
-        return EdgePartition(k, assignment, algorithm=self.name)

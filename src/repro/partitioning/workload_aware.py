@@ -9,9 +9,9 @@ partitioning of this weighted graph using METIS" — is implemented here on
 top of our multilevel partitioner.
 
 Besides the offline weighted-multilevel variant the module also provides
-weighted LDG/FENNEL streaming variants (the Appendix-A generalisation:
+a weighted LDG streaming variant (the Appendix-A generalisation:
 substituting partition cardinality with an arbitrary vertex attribute sum
-``x_i = Σ_{u ∈ P_i} a(u)`` in Eqs. 4/5).
+``x_i = Σ_{u ∈ P_i} a(u)`` in Eq. 4).
 """
 
 from __future__ import annotations
@@ -20,16 +20,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.graph.digraph import Graph
-from repro.partitioning.base import (
-    UNASSIGNED,
-    VertexPartition,
-    VertexPartitioner,
-    argmax_with_ties,
-    check_finite_at_least,
-    check_num_partitions,
-)
+from repro.partitioning.base import VertexPartition, check_finite_entries
+from repro.partitioning.edge_cut.ldg import LdgPartitioner
+from repro.partitioning.kernels import LdgKernel
 from repro.partitioning.multilevel import multilevel_partition
-from repro.rng import make_rng
 
 
 def workload_aware_partition(
@@ -52,11 +46,9 @@ def workload_aware_partition(
         Added to every count so never-accessed vertices still carry a
         minimal weight (otherwise balance would ignore them entirely).
     """
-    counts = np.asarray(access_counts, dtype=np.float64)
+    counts = check_finite_entries("access count", access_counts)
     if counts.shape != (graph.num_vertices,):
         raise ConfigurationError("access_counts must have one entry per vertex")
-    if (counts < 0).any():
-        raise ConfigurationError("access_counts must be non-negative")
     weights = counts + smoothing
     partition = multilevel_partition(
         graph, num_partitions,
@@ -68,7 +60,25 @@ def workload_aware_partition(
     return partition
 
 
-class WeightedLdgPartitioner(VertexPartitioner):
+class WeightedLdgKernel(LdgKernel):
+    """LDG on the load ``x_i = Σ_{u ∈ P_i} a(u)`` instead of ``|P_i|``;
+    ties go to the lightest load."""
+
+    def __init__(self, num_partitions: int, num_vertices: int,
+                 capacity: float, vertex_weights: np.ndarray) -> None:
+        super().__init__(num_partitions, num_vertices, capacity)
+        self.vertex_weights = vertex_weights
+        self.tie_key = np.zeros(self.k)
+
+    def place(self, vertex: int, target: int) -> None:
+        self.slots[vertex] = target
+        self.sizes[target] += 1
+        load = self.tie_key[target] + self.vertex_weights[vertex]
+        self.tie_key[target] = load
+        self._availability[target] = 1.0 - load / self.capacity
+
+
+class WeightedLdgPartitioner(LdgPartitioner):
     """LDG balancing on a vertex attribute instead of cardinality.
 
     Appendix A: re-streaming versions of LDG "can generate a balanced
@@ -80,33 +90,14 @@ class WeightedLdgPartitioner(VertexPartitioner):
     name = "ldg-w"
 
     def __init__(self, vertex_weights, balance_slack: float = 1.0, seed=None):
-        check_finite_at_least("balance_slack (beta)", balance_slack, 1)
-        self.vertex_weights = np.asarray(vertex_weights, dtype=np.float64)
-        if (self.vertex_weights < 0).any():
-            raise ConfigurationError("vertex_weights must be non-negative")
-        self.balance_slack = balance_slack
-        self.seed = seed
+        super().__init__(balance_slack=balance_slack, seed=seed)
+        self.vertex_weights = check_finite_entries("vertex weight",
+                                                   vertex_weights)
 
-    def partition_stream(self, stream, num_partitions: int, *,
-                         num_vertices: int) -> VertexPartition:
-        k = check_num_partitions(num_partitions)
+    def _make_kernel(self, k, num_vertices, num_edges):
         if self.vertex_weights.shape != (num_vertices,):
             raise ConfigurationError("vertex_weights must have one entry per vertex")
-        rng = make_rng(self.seed)
         total = float(self.vertex_weights.sum())
         capacity = max(total / k * self.balance_slack, 1e-12)
-        assignment = np.full(num_vertices, UNASSIGNED, dtype=np.int32)
-        loads = np.zeros(k, dtype=np.float64)
-
-        for vertex, neighbors in stream:
-            placed = assignment[neighbors]
-            placed = placed[placed != UNASSIGNED]
-            if placed.size:
-                counts = np.bincount(placed, minlength=k).astype(np.float64)
-            else:
-                counts = np.zeros(k, dtype=np.float64)
-            scores = counts * (1.0 - loads / capacity)
-            target = argmax_with_ties(scores, tie_break=loads, rng=rng)
-            assignment[vertex] = target
-            loads[target] += self.vertex_weights[vertex]
-        return VertexPartition(k, assignment, algorithm=self.name)
+        return WeightedLdgKernel(k, num_vertices, capacity,
+                                 self.vertex_weights)

@@ -22,6 +22,9 @@ from repro.partitioning.degree_state import (
     run_inclusive_ranks,
 )
 from repro.partitioning.kernels import streaming_partial_degrees
+from repro.partitioning.vertex_cut.dbh import DbhPartitioner
+from repro.partitioning.vertex_cut.greedy import GreedyVertexCutPartitioner
+from repro.partitioning.vertex_cut.hdrf import HdrfPartitioner
 from repro.rng import make_rng
 
 NUM_VERTICES = 40
@@ -212,3 +215,19 @@ class TestFactory:
     def test_unknown_state_rejected(self):
         with pytest.raises(ConfigurationError):
             make_degree_state("approximate", 10)
+
+    @pytest.mark.parametrize("build,match", [
+        (lambda: DbhPartitioner(state="bogus"), "bogus"),
+        (lambda: DbhPartitioner(degrees="partial", state="bogus"), "bogus"),
+        (lambda: HdrfPartitioner(state="approximate"), "approximate"),
+        (lambda: GreedyVertexCutPartitioner(sketch_width=0), "sketch_width"),
+        (lambda: HdrfPartitioner(state="sketch",
+                                 sketch_depth=float("nan")), "sketch_depth"),
+    ], ids=["dbh-exact", "dbh-partial", "hdrf", "greedy-width",
+            "hdrf-depth"])
+    def test_partitioners_reject_bad_state_at_construction(self, build,
+                                                           match):
+        """Exact-degree DBH never reads ``state``, and the sketch
+        geometry was checked only when a sketch was built."""
+        with pytest.raises(ConfigurationError, match=match):
+            build()

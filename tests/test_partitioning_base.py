@@ -20,6 +20,7 @@ from repro.partitioning import (
     WeightedLdgPartitioner,
     hermes_refine,
     taper_refine,
+    workload_aware_partition,
 )
 from repro.partitioning.base import (
     UNASSIGNED,
@@ -31,6 +32,7 @@ from repro.partitioning.base import (
     edge_stream_arrays,
     iter_edge_arrivals,
 )
+from repro.partitioning.heterogeneous import normalize_shares
 from repro.rng import make_rng
 
 
@@ -90,6 +92,39 @@ def test_bound_checks_reject_nan_and_inf(site):
                            match=f"{parameter}.*{bad}"):
             call(bad)
     call(1.0)
+
+
+#: Every per-entry check on a vector parameter: (entry name in the
+#: message, call with a vector whose entry 1 is the value).
+_ENTRY_CHECKS = {
+    "heterogeneous-ldg": ("capacity share", lambda v:
+                          HeterogeneousLdgPartitioner([1.0, v, 1.0])),
+    "heterogeneous-fennel": ("capacity share", lambda v:
+                             HeterogeneousFennelPartitioner([1.0, v, 1.0])),
+    "normalize_shares": ("capacity share",
+                         lambda v: normalize_shares([1.0, v, 1.0], 3)),
+    "weighted-ldg": ("vertex weight",
+                     lambda v: WeightedLdgPartitioner([1.0, v, 1.0])),
+    "workload_aware": ("access count", lambda v: workload_aware_partition(
+        _PATH, 2, [1.0, v] + [1.0] * 6)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_ENTRY_CHECKS))
+def test_entry_checks_name_the_first_bad_entry(site):
+    """NaN passes a bare ``(arr < 0).any()`` check: NaN shares or weights
+    crashed inside numpy (a zero-size reduction), or would finish with a
+    wrong assignment once NaN scores reach the tie-break scan."""
+    entry, call = _ENTRY_CHECKS[site]
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ConfigurationError, match=f"{entry} 1 .*{bad}"):
+            call(bad)
+
+
+def test_fennel_gamma_rejects_nan_and_inf():
+    for bad in (float("nan"), float("inf"), 1.0):
+        with pytest.raises(ConfigurationError, match=f"gamma.*{bad}"):
+            FennelPartitioner(gamma=bad)
 
 
 class TestVertexPartition:

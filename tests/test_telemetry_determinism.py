@@ -16,7 +16,11 @@ from repro.analytics import PageRank, run_workload
 from repro.database import WorkloadGenerator, simulate_workload
 from repro.faults import FaultSchedule
 from repro.graph.generators import ldbc_like
-from repro.partitioning import make_partitioner
+from repro.partitioning import (
+    HeterogeneousLdgPartitioner,
+    RestreamingLdgPartitioner,
+    make_partitioner,
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +116,27 @@ class TestPartitionerTraces:
             assert "chosen" in span.attrs
             assert "scores" in span.attrs
             assert span.attrs["state_size"] >= 0
+
+    @pytest.mark.parametrize("build,passes", [
+        (lambda: RestreamingLdgPartitioner(num_passes=2, seed=7), 2),
+        (lambda: HeterogeneousLdgPartitioner([1, 2, 3, 4], seed=7), 1),
+    ], ids=["re-ldg", "ldg-het"])
+    def test_variant_decision_spans_byte_identical(self, setup, build,
+                                                   passes):
+        """Restreamed and capacity-aware LDG trace through the same
+        driver; the decision index keeps counting across passes."""
+        graph, _, _ = setup
+
+        def run():
+            build().partition(graph, 4, seed=7)
+
+        a, b = _record(run), _record(run)
+        assert a == b
+        decisions = [s for s in telemetry.read_jsonl(a)
+                     if s.name == "sgp.decision"]
+        assert {s.attrs["algorithm"] for s in decisions} == {build().name}
+        assert [s.start for s in decisions] == [
+            float(i) for i in range(0, passes * graph.num_vertices, 16)]
 
     def test_sampling_knob_controls_density(self, setup):
         graph, _, _ = setup
