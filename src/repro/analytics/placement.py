@@ -88,18 +88,21 @@ class Placement:
 
         incidence_counts = np.bincount(all_pairs // k, minlength=n)
 
-        # Masters: explicit (hybrid / converted edge-cut) or balanced
-        # placement among the partitions already hosting the vertex.
+        # Masters: explicit (hybrid / converted edge-cut), kept as given
+        # also for isolated vertices, or balanced placement among the
+        # partitions already hosting the vertex.
         if edge_partition.masters is not None:
             self.master = edge_partition.masters.astype(np.int64)
+            if self.master.shape != (n,) or (self.master < 0).any():
+                raise PartitioningError(
+                    "explicit masters must name a partition for every vertex")
         else:
             self.master = self._balanced_masters(all_pairs, k, n)
-        # Isolated vertices get a deterministic hash master.
-        isolated = incidence_counts == 0
-        if isolated.any():
-            hasher = SeededHash(k, master_seed)
-            self.master = self.master.copy()
-            self.master[isolated] = hasher(np.flatnonzero(isolated))
+            # An isolated vertex hosts no partition to choose among, so
+            # it gets a deterministic hash master.
+            isolated = np.flatnonzero(incidence_counts == 0)
+            if isolated.size:
+                self.master[isolated] = SeededHash(k, master_seed)(isolated)
 
         self.mirror_counts_all = self._mirror_counts(all_pairs, k, n)
         self.mirror_counts_out = self._mirror_counts(out_pairs, k, n)
@@ -129,7 +132,8 @@ class Placement:
         np.cumsum(counts, out=indptr[1:])
 
         # |A(v)| = 1: no choice and no mirror traffic, so no load either.
-        # Isolated vertices (|A(v)| = 0) keep 0 and are hashed later.
+        # Isolated vertices (|A(v)| = 0) keep 0 and are hashed by the
+        # caller.
         master = np.zeros(n, dtype=np.int64)
         single = counts == 1
         master[single] = parts[indptr[:-1][single]]

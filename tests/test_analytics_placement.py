@@ -8,9 +8,11 @@ from repro.errors import PartitioningError
 from repro.graph import Graph
 from repro.metrics import replication_factor
 from repro.partitioning import (
+    GingerPartitioner,
     HashEdgePartitioner,
     HashVertexPartitioner,
     HybridHashPartitioner,
+    LdgPartitioner,
     edge_cut_to_edge_partition,
 )
 from repro.partitioning.base import EdgePartition, VertexPartition
@@ -27,6 +29,15 @@ class TestFromVertexPartition:
         vp = VertexPartition(2, [0, 0, 1, 1, 0, 1])
         placement = Placement(tiny_graph, vp)
         assert np.array_equal(placement.master, vp.assignment)
+
+    def test_isolated_vertices_keep_their_partition(self, small_web):
+        """An edge-cut vertex's master is its partition, also when it has
+        no edge: the masters are the partition's vertex load."""
+        vp = LdgPartitioner(seed=1).partition(small_web, 8, order="natural")
+        placement = Placement(small_web, vp)
+        assert np.count_nonzero(small_web.degree == 0) > 0
+        assert np.array_equal(placement.master, vp.assignment)
+        assert np.array_equal(placement.masters_per_partition(), vp.sizes())
 
     def test_out_mirrors_zero_for_edge_cut(self, small_twitter):
         """Appendix B: out-edges are master-local, so a changed vertex has
@@ -80,6 +91,17 @@ class TestFromEdgePartition:
         ep = HybridHashPartitioner().partition(small_twitter, 8)
         placement = Placement(small_twitter, ep)
         assert np.array_equal(placement.master, ep.masters.astype(np.int64))
+
+    def test_explicit_masters_kept_for_isolated_vertices(self, small_web):
+        ep = GingerPartitioner(seed=1).partition(small_web, 8, seed=1)
+        placement = Placement(small_web, ep)
+        assert np.array_equal(placement.master, ep.masters.astype(np.int64))
+
+    def test_explicit_masters_must_cover_every_vertex(self):
+        g = Graph(3, np.array([0]), np.array([1]))
+        ep = EdgePartition(2, [1], masters=[1, 1, -1])
+        with pytest.raises(PartitioningError, match="every vertex"):
+            Placement(g, ep)
 
     def test_isolated_vertex_gets_master(self):
         g = Graph(4, np.array([0]), np.array([1]))
@@ -143,7 +165,7 @@ PLACEMENT_PINS = {
     ("small_twitter", "hdrf", 8): "2728b08e6aafc524",
     ("small_web", "dbh", 16): "889743368bf235cd",
     ("sparse", "hdrf", 6): "b3900f4e811dab5e",
-    ("sparse", "ldg", 6): "2a82784826f0bdd5",
+    ("sparse", "ldg", 6): "7e18241cb6bd7d0d",
 }
 
 
