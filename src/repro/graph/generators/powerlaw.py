@@ -11,6 +11,8 @@ single vertex.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -18,35 +20,21 @@ from repro.graph.digraph import Graph
 from repro.rng import make_rng
 
 
-def preferential_attachment(
+def iter_powerlaw_chunks(
     num_vertices: int,
     avg_out_degree: float = 16.0,
     *,
     uniform_mix: float = 0.2,
-    seed_vertices: int | None = None,
     seed=None,
-    name: str = "pa",
-) -> Graph:
-    """Directed preferential-attachment graph.
+    chunk_edges: int = 1 << 17,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The preferential-attachment process as ``(src, dst)`` edge chunks.
 
-    Parameters
-    ----------
-    num_vertices:
-        Total vertex count ``n``.
-    avg_out_degree:
-        Mean number of out-edges per vertex; per-vertex counts are drawn
-        from a Pareto law so out-degree is heavy-tailed too (real follower
-        graphs have both: celebrities with millions of followers *and*
-        accounts following hundreds of thousands).
-    uniform_mix:
-        Probability that an individual edge picks its target uniformly at
-        random rather than by in-degree; ``0`` gives the steepest tail.
-    seed_vertices:
-        Size of the initial uniformly wired clique-ish core (defaults to
-        ``max(2, avg_out_degree)``).
-
-    Returns a multigraph: repeated follows are kept, matching the
-    paper's treatment of datasets as raw edge lists.
+    The accumulated edges are flushed every ``chunk_edges`` instead of
+    held whole: resident state is the in-degree endpoint pool (8
+    bytes/edge) plus one chunk, which is how the ingest spillers write
+    streams larger than memory.  Parameters as in
+    :func:`preferential_attachment`.
     """
     if num_vertices < 2:
         raise ConfigurationError("preferential attachment needs >= 2 vertices")
@@ -54,16 +42,18 @@ def preferential_attachment(
         raise ConfigurationError("uniform_mix must lie in [0, 1]")
     if avg_out_degree <= 0:
         raise ConfigurationError("avg_out_degree must be positive")
+    if chunk_edges < 1:
+        raise ConfigurationError("chunk_edges must be >= 1")
     rng = make_rng(seed)
-    core = seed_vertices if seed_vertices is not None else max(2, int(avg_out_degree))
-    core = min(core, num_vertices)
+    core = min(max(2, int(avg_out_degree)), num_vertices)
 
     # Endpoint pool: every stored target id appears once per received edge,
     # so sampling uniformly from the pool is sampling ∝ in-degree.
     pool = np.empty(64, dtype=np.int64)
     pool_size = 0
-    src_chunks: list[np.ndarray] = []
-    dst_chunks: list[np.ndarray] = []
+    src_parts: list[np.ndarray] = []
+    dst_parts: list[np.ndarray] = []
+    buffered = 0
 
     def _append_pool(targets: np.ndarray):
         nonlocal pool, pool_size
@@ -76,8 +66,9 @@ def preferential_attachment(
     # Core: ring so every early vertex has in-degree >= 1.
     core_src = np.arange(core, dtype=np.int64)
     core_dst = (core_src + 1) % core
-    src_chunks.append(core_src)
-    dst_chunks.append(core_dst)
+    src_parts.append(core_src)
+    dst_parts.append(core_dst)
+    buffered += core
     _append_pool(core_dst)
 
     # Pareto out-degree with the requested mean (>= 1 edge per vertex,
@@ -94,21 +85,56 @@ def preferential_attachment(
         uniform = rng.random(count) < uniform_mix
         targets = np.empty(count, dtype=np.int64)
         n_uni = int(uniform.sum())
+        # Uniform picks draw from [0, v) and the pool holds only earlier
+        # targets, so no edge is a self loop.
         if n_uni:
             targets[uniform] = rng.integers(0, v, size=n_uni)
         n_pref = count - n_uni
         if n_pref:
             slots = rng.integers(0, pool_size, size=n_pref)
             targets[~uniform] = pool[slots]
-        # Drop accidental self loops (target may equal v only via pool
-        # additions below, which have not happened yet, so only uniform
-        # picks could — they draw from [0, v) and cannot).
-        src_chunks.append(np.full(count, v, dtype=np.int64))
-        dst_chunks.append(targets)
+        src_parts.append(np.full(count, v, dtype=np.int64))
+        dst_parts.append(targets)
+        buffered += count
         _append_pool(targets)
+        if buffered >= chunk_edges:
+            yield np.concatenate(src_parts), np.concatenate(dst_parts)
+            src_parts, dst_parts, buffered = [], [], 0
+    if buffered:
+        yield np.concatenate(src_parts), np.concatenate(dst_parts)
 
-    src = np.concatenate(src_chunks)
-    dst = np.concatenate(dst_chunks)
+
+def preferential_attachment(
+    num_vertices: int,
+    avg_out_degree: float = 16.0,
+    *,
+    uniform_mix: float = 0.2,
+    seed=None,
+    name: str = "pa",
+) -> Graph:
+    """Directed preferential-attachment graph.
+
+    Parameters
+    ----------
+    num_vertices:
+        Total vertex count ``n``.
+    avg_out_degree:
+        Mean number of out-edges per vertex; per-vertex counts are drawn
+        from a Pareto law so out-degree is heavy-tailed too (real follower
+        graphs have both: celebrities with millions of followers *and*
+        accounts following hundreds of thousands).  The first
+        ``max(2, avg_out_degree)`` vertices form a ring core.
+    uniform_mix:
+        Probability that an individual edge picks its target uniformly at
+        random rather than by in-degree; ``0`` gives the steepest tail.
+
+    Returns a multigraph: repeated follows are kept, matching the
+    paper's treatment of datasets as raw edge lists.
+    """
+    chunks = list(iter_powerlaw_chunks(num_vertices, avg_out_degree,
+                                       uniform_mix=uniform_mix, seed=seed))
+    src = np.concatenate([chunk_src for chunk_src, _ in chunks])
+    dst = np.concatenate([chunk_dst for _, chunk_dst in chunks])
     return Graph(num_vertices, src, dst, name=name)
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from repro import telemetry
 from repro.errors import ConfigurationError, IngestError
 from repro.graph.digraph import Graph
+from repro.graph.generators.powerlaw import iter_powerlaw_chunks
 from repro.graph.stream import vertex_order
 from repro.ingest.format import FLAG_ADJACENCY, FORMAT_VERSION, MAGIC, Header
 from repro.rng import make_rng
@@ -176,84 +177,6 @@ def iter_rmat_chunks(
             col += bit * go_right
         keep = row != col                   # chunks shrink: lengths vary
         yield row[keep], col[keep]
-
-
-def iter_powerlaw_chunks(
-    num_vertices: int,
-    avg_out_degree: float = 16.0,
-    *,
-    uniform_mix: float = 0.2,
-    seed=None,
-    chunk_edges: int = DEFAULT_SPILL_CHUNK,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Preferential-attachment edge chunks.
-
-    The same rich-get-richer process as
-    :func:`repro.graph.generators.preferential_attachment`, flushing the
-    accumulated edges every ``chunk_edges`` instead of holding them all:
-    resident state is the in-degree endpoint pool (8 bytes/edge) plus
-    one chunk, roughly a quarter of the in-memory generator's
-    edge-list + Graph + CSR footprint.
-    """
-    if num_vertices < 2:
-        raise ConfigurationError("preferential attachment needs >= 2 vertices")
-    if not 0.0 <= uniform_mix <= 1.0:
-        raise ConfigurationError("uniform_mix must lie in [0, 1]")
-    if avg_out_degree <= 0:
-        raise ConfigurationError("avg_out_degree must be positive")
-    if chunk_edges < 1:
-        raise ConfigurationError("chunk_edges must be >= 1")
-    rng = make_rng(seed)
-    core = min(max(2, int(avg_out_degree)), num_vertices)
-
-    pool = np.empty(64, dtype=np.int64)
-    pool_size = 0
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    buffered = 0
-
-    def _append_pool(targets: np.ndarray):
-        nonlocal pool, pool_size
-        needed = pool_size + targets.size
-        if needed > pool.size:
-            pool = np.resize(pool, max(pool.size * 2, needed))
-        pool[pool_size:needed] = targets
-        pool_size = needed
-
-    core_src = np.arange(core, dtype=np.int64)
-    core_dst = (core_src + 1) % core
-    src_parts.append(core_src)
-    dst_parts.append(core_dst)
-    buffered += core
-    _append_pool(core_dst)
-
-    pareto_shape = 1.8
-    pareto_mean = 1.0 / (pareto_shape - 1.0)
-    scale = max(avg_out_degree - 1.0, 0.0) / pareto_mean
-    raw = rng.pareto(pareto_shape, size=num_vertices - core) * scale
-    cap = max(2, num_vertices // 10)
-    out_counts = np.clip(raw, 0, cap).astype(np.int64) + 1
-
-    for offset, count in enumerate(out_counts.tolist()):
-        v = core + offset
-        uniform = rng.random(count) < uniform_mix
-        targets = np.empty(count, dtype=np.int64)
-        n_uni = int(uniform.sum())
-        if n_uni:
-            targets[uniform] = rng.integers(0, v, size=n_uni)
-        n_pref = count - n_uni
-        if n_pref:
-            slots = rng.integers(0, pool_size, size=n_pref)
-            targets[~uniform] = pool[slots]
-        src_parts.append(np.full(count, v, dtype=np.int64))
-        dst_parts.append(targets)
-        buffered += count
-        _append_pool(targets)
-        if buffered >= chunk_edges:
-            yield np.concatenate(src_parts), np.concatenate(dst_parts)
-            src_parts, dst_parts, buffered = [], [], 0
-    if buffered:
-        yield np.concatenate(src_parts), np.concatenate(dst_parts)
 
 
 def spill_rmat(path, scale: int, edge_factor: float = 16.0, *,
