@@ -17,6 +17,31 @@ from repro.service.config import ServiceConfig
 from repro.service.core import PartitionedGraphService, ServiceResult
 
 
+def add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
+    """The scenario flags :func:`build_config` reads (serve-sim and
+    ``repro health``)."""
+    parser.add_argument("--vertices", type=int, default=2000,
+                        help="synthetic graph size (default 2000)")
+    parser.add_argument("--avg-degree", type=float, default=12.0)
+    parser.add_argument("--partitions", type=int, default=8)
+    parser.add_argument("--epochs", type=int, default=12)
+    parser.add_argument("--epoch-duration", type=float, default=0.25,
+                        metavar="SECONDS")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--mutations-per-epoch", type=int, default=600)
+    parser.add_argument("--bindings-per-epoch", type=int, default=50)
+    parser.add_argument("--drift-threshold", type=float, default=0.02)
+    parser.add_argument("--migration-budget", type=int, default=300,
+                        help="max vertices moved per migration event")
+    parser.add_argument("--queue-bound", type=int, default=1000,
+                        help="mutation admission bound (writes shed past it)")
+    parser.add_argument("--service-rate", type=int, default=400,
+                        help="mutations applied per epoch")
+    parser.add_argument("--no-migration", action="store_true",
+                        help="disable drift-triggered migration "
+                             "(incremental placement only)")
+
+
 def build_config(args: argparse.Namespace) -> ServiceConfig:
     return ServiceConfig(
         num_partitions=args.partitions,
@@ -65,26 +90,7 @@ def main(argv=None) -> int:
         description="Run the online partitioning service simulation "
                     "(drift detection, bounded migration, graceful "
                     "degradation).")
-    parser.add_argument("--vertices", type=int, default=2000,
-                        help="synthetic graph size (default 2000)")
-    parser.add_argument("--avg-degree", type=float, default=12.0)
-    parser.add_argument("--partitions", type=int, default=8)
-    parser.add_argument("--epochs", type=int, default=12)
-    parser.add_argument("--epoch-duration", type=float, default=0.25,
-                        metavar="SECONDS")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--mutations-per-epoch", type=int, default=600)
-    parser.add_argument("--bindings-per-epoch", type=int, default=50)
-    parser.add_argument("--drift-threshold", type=float, default=0.02)
-    parser.add_argument("--migration-budget", type=int, default=300,
-                        help="max vertices moved per migration event")
-    parser.add_argument("--queue-bound", type=int, default=1000,
-                        help="mutation admission bound (writes shed past it)")
-    parser.add_argument("--service-rate", type=int, default=400,
-                        help="mutations applied per epoch")
-    parser.add_argument("--no-migration", action="store_true",
-                        help="disable drift-triggered migration "
-                             "(incremental placement only)")
+    add_scenario_arguments(parser)
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the canonical timeline JSON to PATH "
                              "('-' for stdout)")

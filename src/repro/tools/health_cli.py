@@ -23,7 +23,7 @@ import json
 import os
 import sys
 
-from repro.service.cli import build_config
+from repro.service.cli import add_scenario_arguments, build_config
 from repro.service.core import PartitionedGraphService, ServiceResult
 from repro.telemetry.export import (
     records_to_jsonl,
@@ -174,25 +174,6 @@ def write_artifacts(result: ServiceResult, out_dir: str) -> list[str]:
     emit("health.json", json.dumps(health_payload(result), indent=2,
                                    sort_keys=True) + "\n")
     return paths
-
-
-def add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
-    """The serve-sim scenario knobs, shared verbatim with that CLI."""
-    parser.add_argument("--vertices", type=int, default=2000,
-                        help="synthetic graph size (default 2000)")
-    parser.add_argument("--avg-degree", type=float, default=12.0)
-    parser.add_argument("--partitions", type=int, default=8)
-    parser.add_argument("--epochs", type=int, default=12)
-    parser.add_argument("--epoch-duration", type=float, default=0.25,
-                        metavar="SECONDS")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--mutations-per-epoch", type=int, default=600)
-    parser.add_argument("--bindings-per-epoch", type=int, default=50)
-    parser.add_argument("--drift-threshold", type=float, default=0.02)
-    parser.add_argument("--migration-budget", type=int, default=300)
-    parser.add_argument("--queue-bound", type=int, default=1000)
-    parser.add_argument("--service-rate", type=int, default=400)
-    parser.add_argument("--no-migration", action="store_true")
 
 
 def main(argv=None) -> int:
