@@ -68,7 +68,6 @@ from repro.graph.sorting import dedupe_sorted, stable_argsort
 from repro.partitioning.base import VertexPartition
 from repro.partitioning.dynamic import reassign_lost_vertices
 from repro.telemetry import get_tracer
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import SimClock, Tracer
 
 

@@ -13,8 +13,6 @@ into the system manually").  These helpers make that workflow concrete:
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from repro.errors import GraphFormatError, PartitioningError

@@ -20,7 +20,6 @@ from repro.ingest import (
     shard_segments,
     sharded_partition,
     spill_graph_edges,
-    spill_rmat,
 )
 from repro.partitioning.vertex_cut.dbh import DbhPartitioner
 from repro.partitioning.vertex_cut.hdrf import HdrfPartitioner

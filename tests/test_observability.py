@@ -25,7 +25,6 @@ from repro.graph.generators import ldbc_like
 from repro.service import PartitionedGraphService, ServiceConfig
 from repro.telemetry import (
     METRIC_NAMES,
-    AlertEvent,
     MetricsRegistry,
     MetricSample,
     Slo,
