@@ -34,6 +34,7 @@ from repro.partitioning.base import (
     check_finite_at_least,
     check_num_partitions,
 )
+from repro.partitioning.edge_cut.fennel import fennel_alpha
 from repro.partitioning.hybrid.hybrid_hash import DEFAULT_DEGREE_THRESHOLD
 from repro.partitioning.kernels import argmax_tie_least_loaded, iter_edge_chunks
 from repro.rng import SeededHash, make_rng
@@ -73,8 +74,7 @@ class GingerPartitioner(EdgePartitioner):
         rng = make_rng(self.seed)
         coefficient = self.balance_coefficient
         if coefficient is None:
-            n = max(num_vertices, 1)
-            coefficient = float(np.sqrt(k) * num_edges / n ** 1.5)
+            coefficient = fennel_alpha(k, num_vertices, num_edges)
         half_coefficient = coefficient * 0.5
         edge_scale = num_vertices / max(num_edges, 1)
 
