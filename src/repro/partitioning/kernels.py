@@ -23,10 +23,15 @@ PowerGraph-greedy):
 * :func:`iter_edge_chunks` — chunked edge-stream processing so the
   sequential vertex-cut loops convert numpy → Python scalars one block
   at a time instead of materialising three stream-length lists;
-* :func:`argmax_tie_least_loaded` / :func:`argmin_with_ties_inline` —
-  allocation-light tie-breaking, bit-identical (including RNG
-  consumption) to :func:`repro.partitioning.base.argmax_with_ties` with
-  a least-loaded tie break and :func:`repro.partitioning.base.argmin_with_ties`.
+* :class:`ReplicaMasks` — the per-vertex replica sets ``A(v)`` of the
+  HDRF and greedy cores as ``ceil(k/64)`` ``uint64`` words per vertex,
+  read and written as one Python ``int`` and enumerated through per-byte
+  member tables, so a scan visits only the partitions in a mask;
+* :func:`argmax_tie_least_loaded` / :func:`argmin_with_ties_inline` /
+  :func:`pick_least_loaded` — allocation-light tie-breaking,
+  bit-identical (including RNG consumption) to
+  :func:`repro.partitioning.base.argmax_with_ties` with a least-loaded
+  tie break and :func:`repro.partitioning.base.argmin_with_ties`.
 
 Every kernel is a pure performance change: the golden-digest equivalence
 suite (``tests/test_partitioning_kernels.py``) asserts that ported
@@ -37,6 +42,7 @@ every (algorithm, seed, stream order) pair in its matrix.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -48,12 +54,13 @@ __all__ = [
     "DEFAULT_EDGE_CHUNK",
     "FennelKernel",
     "LdgKernel",
+    "ReplicaMasks",
     "argmax_tie_least_loaded",
     "argmin_with_ties_inline",
     "iter_edge_chunks",
     "iter_vertex_arrivals",
+    "pick_least_loaded",
     "streaming_partial_degrees",
-    "zip_chunked",
 ]
 
 #: Edges converted from numpy to Python scalars per block in the
@@ -141,22 +148,6 @@ def iter_edge_chunks(
                np.asarray(dsts, dtype=np.int64))
 
 
-def zip_chunked(*arrays: np.ndarray,
-                chunk_size: int = DEFAULT_EDGE_CHUNK) -> Iterator[tuple]:
-    """``zip`` over parallel arrays, converted to Python scalars per chunk.
-
-    The sequential vertex-cut loops read each arrival as Python scalars;
-    ``tolist`` on a bounded chunk is far cheaper than per-element
-    ``arr[i]`` indexing and never materialises stream-length lists.
-    """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    size = int(arrays[0].size)
-    for start in range(0, size, chunk_size):
-        stop = start + chunk_size
-        yield from zip(*[a[start:stop].tolist() for a in arrays])
-
-
 def streaming_partial_degrees(
     src: np.ndarray, dst: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -186,6 +177,72 @@ def streaming_partial_degrees(
     d_src = occurrences[0::2] + (src == dst)
     d_dst = occurrences[1::2]
     return d_src, d_dst
+
+
+# ----------------------------------------------------------------------
+# Replica sets of the vertex-cut cores
+# ----------------------------------------------------------------------
+class _WideRows:
+    """One vertex's ``width`` words of a :class:`ReplicaMasks` array as
+    one Python ``int`` (little-endian: bit ``p`` is partition ``p``)."""
+
+    def __init__(self, words: array[int], width: int) -> None:
+        self._bytes = memoryview(words).cast("B")
+        self._row = 8 * width
+
+    def __getitem__(self, vertex: int) -> int:
+        start = vertex * self._row
+        return int.from_bytes(self._bytes[start:start + self._row], "little")
+
+    def __setitem__(self, vertex: int, mask: int) -> None:
+        start = vertex * self._row
+        self._bytes[start:start + self._row] = mask.to_bytes(self._row,
+                                                             "little")
+
+
+class ReplicaMasks:
+    """Replica sets ``A(v)`` as per-vertex bitmasks over *k* partitions.
+
+    Each vertex holds ``ceil(k/64)`` ``uint64`` words in one
+    ``array('Q')``; bit ``p`` of its mask is set once partition ``p``
+    holds a replica.  ``rows[v]`` reads the whole mask as a Python
+    ``int`` and ``rows[v] = mask`` writes it back: ``rows`` is the word
+    array itself when one word suffices, a byte view otherwise.
+
+    ``byte_tables`` pairs each mask byte's shift with the table mapping
+    that byte's value to the tuple of partitions it sets, so
+    ``for table, shift in byte_tables: table[mask >> shift & 255]``
+    visits the members of a mask in increasing order.  The tables are
+    built per instance: they depend only on *k*.
+    """
+
+    def __init__(self, num_partitions: int, num_vertices: int) -> None:
+        k = int(num_partitions)
+        width = (k + 63) // 64
+        self.words = array("Q", [0]) * (width * int(num_vertices))
+        self.rows: array[int] | _WideRows = (
+            self.words if width == 1 else _WideRows(self.words, width))
+        self.byte_tables: tuple[tuple[tuple[tuple[int, ...], ...], int],
+                                ...] = tuple(
+            (tuple(tuple(p for p in range(8 * j, min(8 * j + 8, k))
+                         if value >> (p - 8 * j) & 1)
+                   for value in range(256)), 8 * j)
+            for j in range((k + 7) // 8))
+        #: ``bits[p] == 1 << p``, looked up instead of allocated.
+        self.bits = [1 << p for p in range(k)]
+        #: Every partition's bit: the candidate set of an edge whose
+        #: endpoints have no replica yet.
+        self.everyone = (1 << k) - 1
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of mask state held: ``8·ceil(k/64)`` per vertex."""
+        return self.words.itemsize * len(self.words)
+
+    def members(self, mask: int) -> list[int]:
+        """The partitions set in *mask*, in increasing order."""
+        return [p for table, shift in self.byte_tables
+                for p in table[mask >> shift & 255]]
 
 
 # ----------------------------------------------------------------------
@@ -244,6 +301,23 @@ def argmin_with_ties_inline(
             ties = [i]
         elif item == best:
             ties.append(i)
+    if len(ties) == 1 or rng is None:
+        return ties[0]
+    return ties[int(rng.integers(0, len(ties)))]
+
+
+def pick_least_loaded(candidates: list[int], loads: list[int],
+                      rng: np.random.Generator | None) -> int:
+    """The least-loaded of *candidates* (increasing partition ids); ties
+    broken uniformly at random when *rng* is given.
+
+    Equal, including RNG consumption, to
+    ``candidates[argmin_with_ties_inline(sizes[candidates], rng)]`` —
+    and so to the least-loaded stage of :func:`argmax_tie_least_loaded`
+    when *candidates* are the score ties.
+    """
+    lightest = min([loads[p] for p in candidates])
+    ties = [p for p in candidates if loads[p] == lightest]
     if len(ties) == 1 or rng is None:
         return ties[0]
     return ties[int(rng.integers(0, len(ties)))]

@@ -19,6 +19,8 @@ fixes.  The ablation bench measures exactly that contrast.
 Like HDRF, the scoring loop lives in a chunk-driven core
 (:class:`GreedyCore`) over a pluggable degree state, so the same rules
 run in-memory, out-of-core and sharded (:mod:`repro.ingest.shard`).
+The replica sets are per-vertex bitmasks: each rule picks a mask, and
+the edge goes to that mask's least-loaded set bit.
 """
 
 from __future__ import annotations
@@ -30,12 +32,69 @@ from repro.partitioning.degree_state import (
     DEFAULT_SKETCH_WIDTH,
 )
 from repro.partitioning.drivers import DegreeStatePartitioner
-from repro.partitioning.kernels import argmin_with_ties_inline, zip_chunked
+from repro.partitioning.kernels import ReplicaMasks, pick_least_loaded
 from repro.rng import make_rng
+
+#: Above every partition load: the scan's starting minimum.
+_NO_LOAD = 1 << 63
+
+
+def _place_edges(core: GreedyCore, srcs: list, dsts: list, d_u: list,
+                 d_v: list, loads: list) -> list:
+    """The four rules over one chunk; returns the chosen partitions.
+
+    Each rule yields a candidate mask; the edge goes to its least-loaded
+    member.  Members tied on that load collect in the ``tied`` mask and
+    are settled by :func:`~repro.partitioning.kernels.pick_least_loaded`,
+    off this loop.
+    """
+    rows = core.replicas.rows
+    byte_tables = core.replicas.byte_tables
+    bits = core.replicas.bits
+    everyone = core.replicas.everyone
+    choices = []
+    for src, dst, du, dv in zip(srcs, dsts, d_u, d_v):
+        mask_u = rows[src]
+        mask_v = rows[dst]
+        candidates = mask_u & mask_v
+        if not candidates:
+            if mask_u and mask_v:
+                # Cut through the lower-degree endpoint: PowerGraph keeps
+                # the endpoint with more remaining edges intact, so the
+                # edge joins a replica of the one with the larger
+                # partial degree.
+                candidates = mask_u if du >= dv else mask_v
+            else:
+                candidates = mask_u | mask_v or everyone
+        least = _NO_LOAD
+        choice = -1
+        tied = 0
+        for table, shift in byte_tables:
+            for p in table[candidates >> shift & 255]:
+                load = loads[p]
+                if load < least:
+                    least = load
+                    choice = p
+                    tied = 0
+                elif load == least:
+                    tied |= bits[p]
+        if tied:
+            choice = pick_least_loaded(
+                core.replicas.members(tied | bits[choice]), loads, core.rng)
+        choices.append(choice)
+        loads[choice] += 1
+        bit = bits[choice]
+        rows[src] = mask_u | bit
+        rows[dst] = mask_v | bit
+    return choices
 
 
 class GreedyCore:
-    """Incremental PowerGraph-greedy state, fed one edge chunk at a time."""
+    """Incremental PowerGraph-greedy state, fed one edge chunk at a time.
+
+    The replica sets are per-vertex bitmasks; a chunk runs on a
+    Python-list copy of the loads and writes it back into ``sizes``.
+    """
 
     algorithm = "greedy"
 
@@ -45,9 +104,7 @@ class GreedyCore:
         self.rng = rng
         self.degrees = degrees
         self.sizes = np.zeros(self.k, dtype=np.int64)
-        self.replicas = np.zeros((int(num_vertices), self.k), dtype=bool)
-        self._common = np.empty(self.k, dtype=bool)
-        self._everyone = np.arange(self.k)
+        self.replicas = ReplicaMasks(self.k, num_vertices)
 
     def rebase_sizes(self, global_sizes: np.ndarray) -> None:
         """Re-anchor the least-loaded comparisons on a synced snapshot."""
@@ -55,43 +112,16 @@ class GreedyCore:
 
     def state_nbytes(self) -> int:
         return int(self.sizes.nbytes + self.replicas.nbytes +
-                   self._common.nbytes + self._everyone.nbytes +
                    self.degrees.nbytes)
 
     def process_chunk(self, edge_ids: np.ndarray, src_arr: np.ndarray,
                       dst_arr: np.ndarray, assignment: np.ndarray) -> None:
         d_u, d_v = self.degrees.push(src_arr, dst_arr)
-        replicas = self.replicas
-        sizes = self.sizes
-        common = self._common
-        everyone = self._everyone
-        rng = self.rng
-        for edge_id, src, dst, du, dv in zip_chunked(edge_ids, src_arr,
-                                                     dst_arr, d_u, d_v):
-            mask_u = replicas[src]
-            mask_v = replicas[dst]
-            np.logical_and(mask_u, mask_v, out=common)
-            if common.any():
-                candidates = np.flatnonzero(common)
-            elif mask_u.any() and mask_v.any():
-                # Cut through the higher-degree endpoint: the edge goes to
-                # the replica set of the *lower*-degree one... PowerGraph's
-                # heuristic keeps the endpoint with more remaining edges
-                # intact, so we choose among the replicas of the endpoint
-                # with the larger partial degree.
-                chosen = mask_u if du >= dv else mask_v
-                candidates = np.flatnonzero(chosen)
-            elif mask_u.any():
-                candidates = np.flatnonzero(mask_u)
-            elif mask_v.any():
-                candidates = np.flatnonzero(mask_v)
-            else:
-                candidates = everyone
-            choice = candidates[argmin_with_ties_inline(sizes[candidates], rng)]
-            assignment[edge_id] = choice
-            sizes[choice] += 1
-            replicas[src, choice] = True
-            replicas[dst, choice] = True
+        loads = self.sizes.tolist()
+        assignment[edge_ids] = _place_edges(
+            self, src_arr.tolist(), dst_arr.tolist(), d_u.tolist(),
+            d_v.tolist(), loads)
+        self.sizes[:] = loads
 
 
 class GreedyVertexCutPartitioner(DegreeStatePartitioner):
