@@ -50,6 +50,8 @@ class FennelPartitioner(VertexStreamPartitioner):
                  load_cap: float = 1.1, seed=None):
         check_finite_at_least("gamma", gamma, 1, strict=True)
         check_finite_at_least("load_cap (nu)", load_cap, 1)
+        if alpha is not None:
+            check_finite_at_least("alpha", alpha, 0)
         self.gamma = gamma
         self.alpha = alpha
         self.load_cap = load_cap

@@ -51,6 +51,7 @@ class RestreamingFennelPartitioner(FennelPartitioner):
                  alpha: float | None = None, load_cap: float = 1.1,
                  alpha_growth: float = 1.5, seed=None):
         check_finite_at_least("num_passes", num_passes, 1)
+        check_finite_at_least("alpha_growth", alpha_growth, 0, strict=True)
         super().__init__(gamma=gamma, alpha=alpha, load_cap=load_cap,
                          seed=seed)
         self.num_passes = num_passes
