@@ -11,6 +11,7 @@ single vertex.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -40,8 +41,10 @@ def iter_powerlaw_chunks(
         raise ConfigurationError("preferential attachment needs >= 2 vertices")
     if not 0.0 <= uniform_mix <= 1.0:
         raise ConfigurationError("uniform_mix must lie in [0, 1]")
-    if avg_out_degree <= 0:
-        raise ConfigurationError("avg_out_degree must be positive")
+    if not (math.isfinite(avg_out_degree) and avg_out_degree > 0):
+        raise ConfigurationError(
+            f"avg_out_degree must be a finite number > 0, "
+            f"got {avg_out_degree!r}")
     if chunk_edges < 1:
         raise ConfigurationError("chunk_edges must be >= 1")
     rng = make_rng(seed)

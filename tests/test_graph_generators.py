@@ -101,6 +101,19 @@ class TestPreferentialAttachment:
         with pytest.raises(ConfigurationError):
             preferential_attachment(10, avg_out_degree=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_average_degree_rejected(self, bad, tmp_path):
+        """NaN used to pass the ``<= 0`` check and fail converting to
+        int; inf overflowed.  Every entry point names the parameter."""
+        from repro.ingest import spill_powerlaw
+
+        with pytest.raises(ConfigurationError, match="avg_out_degree"):
+            preferential_attachment(100, avg_out_degree=bad)
+        with pytest.raises(ConfigurationError, match="avg_out_degree"):
+            twitter_like(num_vertices=100, avg_degree=bad)
+        with pytest.raises(ConfigurationError, match="avg_out_degree"):
+            spill_powerlaw(tmp_path / "s.redg", 100, bad)
+
 
 class TestRmat:
     def test_vertex_count_power_of_two(self):
