@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import FaultInjectionError
-from repro.rng import splitmix64
 
 __all__ = [
     "CrashInterval",
@@ -58,6 +57,7 @@ __all__ = [
 
 #: 2^64 as float, for mapping splitmix64 output to [0, 1).
 _U64_SPAN = float(2**64)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _uniform(seed: int, *labels: int) -> float:
@@ -66,10 +66,18 @@ def _uniform(seed: int, *labels: int) -> float:
     Unlike a stateful RNG, the draw does not depend on how many other
     draws happened before it — so adding a fault to a schedule never
     perturbs the randomness of unrelated events.
+
+    Each label is folded in with :func:`repro.rng.splitmix64` (seed 0),
+    computed here on Python ints: the same uint64 arithmetic without a
+    numpy scalar per step, and the same correctly rounded conversion to
+    float.
     """
-    key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    key = seed & _MASK64
     for label in labels:
-        key = splitmix64(key ^ np.uint64(label & 0xFFFFFFFFFFFFFFFF))
+        x = ((key ^ (label & _MASK64)) + 0x9E3779B97F4A7C15) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        key = x ^ (x >> 31)
     return float(key) / _U64_SPAN
 
 

@@ -3,6 +3,7 @@
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 from repro.errors import FaultInjectionError, ReproError, SimulationError
@@ -16,7 +17,69 @@ from repro.faults import (
     ReplicaMap,
     RetryPolicy,
     SlowdownInterval,
+    _uniform,
 )
+from repro.rng import splitmix64
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _numpy_uniform(seed, *labels):
+    """The draw as numpy-scalar splitmix64 calls."""
+    key = np.uint64(seed & _MASK64)
+    for label in labels:
+        key = splitmix64(key ^ np.uint64(label & _MASK64))
+    return float(key) / float(2**64)
+
+
+def _unmix(z):
+    """The label whose splitmix64 (seed 0) under key 0 is *z*."""
+    z ^= (z >> 31) ^ (z >> 62)
+    z = (z * pow(0x94D049BB133111EB, -1, 2**64)) & _MASK64
+    z ^= (z >> 27) ^ (z >> 54)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & _MASK64
+    z ^= (z >> 30) ^ (z >> 60)
+    return (z - _GOLDEN) & _MASK64
+
+
+class TestUniformDraw:
+    def test_matches_splitmix64_on_random_pairs(self):
+        rng = np.random.default_rng(23)
+        seeds = rng.integers(-2**63, 2**63, size=100_000, dtype=np.int64)
+        labels = rng.integers(0, 2**63, size=100_000, dtype=np.int64)
+        keys = splitmix64(
+            splitmix64(seeds.astype(np.uint64) ^ np.uint64(0x5D0B))
+            ^ labels.astype(np.uint64))
+        expected = (keys.astype(np.float64) / float(2**64)).tolist()
+        got = [_uniform(seed, 0x5D0B, label)
+               for seed, label in zip(seeds.tolist(), labels.tolist())]
+        assert got == expected
+        for seed, label in zip(seeds[:2000].tolist(), labels[:2000].tolist()):
+            assert _uniform(seed, label) == _numpy_uniform(seed, label)
+
+    def test_halfway_keys_round_like_numpy(self):
+        """Keys exactly halfway between two floats, at every magnitude
+        from 2**53 to 2**64 and with both mantissa parities, convert the
+        same way on both paths."""
+        rng = np.random.default_rng(5)
+        halfway = []
+        for exponent in range(53, 64):
+            spacing = 1 << (exponent - 52)
+            for mantissa in rng.integers(1 << 52, 1 << 53, size=40).tolist():
+                for parity in (0, 1):
+                    base = ((mantissa & ~1) | parity) * spacing
+                    halfway.append(base + spacing // 2)
+        for key in halfway:
+            label = _unmix(key)
+            assert int(splitmix64(np.uint64(label))) == key
+            assert _uniform(0, label) == _numpy_uniform(0, label)
+            assert _uniform(0, label) == float(np.uint64(key)) / float(2**64)
+
+    def test_negative_and_wide_labels_wrap_to_uint64(self):
+        for seed, label in ((-1, 7), (3, -5), (2**64 + 9, 2**70 + 1)):
+            assert _uniform(seed, label) == _numpy_uniform(seed, label)
+        assert 0.0 <= _uniform(1, 2, 3) < 1.0
 
 
 class TestIntervals:
