@@ -14,6 +14,10 @@ module implements in their simplest faithful forms:
   whole graph".  :func:`hermes_refine` runs iterative gain-driven vertex
   migration under a balance constraint on top of *any* edge-cut
   partitioning, improving the cut in place.
+
+:func:`refine_boundary` is the refinement loop of both Hermes and TAPER
+(:mod:`repro.partitioning.taper`); :func:`_ldg_target` is the LDG choice
+of both incremental placement and :func:`reassign_lost_vertices`.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ import numpy as np
 
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph.digraph import Graph
+from repro.graph.sorting import sorted_unique
 from repro.partitioning.base import (
     UNASSIGNED,
     VertexPartition,
-    argmax_with_ties,
     check_finite_at_least,
 )
+from repro.partitioning.kernels import argmax_tie_least_loaded
 from repro.rng import make_rng
 
 
@@ -42,7 +47,9 @@ class IncrementalEdgeCutPartitioner:
         The current :class:`VertexPartition` (its assignment array is not
         modified; placements accumulate in a copy).
     balance_slack:
-        β against the *final* expected vertex count, supplied per call.
+        β of the running capacity: each :meth:`add_vertex` caps a
+        partition at ``ceil(β·(placed + 1)/k)``, where ``placed`` counts
+        the base's vertices and every arrival placed so far.
     """
 
     def __init__(self, base: VertexPartition, balance_slack: float = 1.1,
@@ -65,12 +72,13 @@ class IncrementalEdgeCutPartitioner:
 
         ``neighbors`` may reference vertices that are themselves new; the
         unplaced ones are simply ignored, exactly like a streaming pass.
-        Returns the chosen partition.
+        The capacity is ``ceil(β·(placed + 1)/k)`` over the vertices
+        placed so far, this one included.  Returns the chosen partition.
         """
-        k = self.num_partitions
         rng = make_rng(rng if rng is not None else self.seed)
-        total = int(self._sizes.sum()) + 1
-        capacity = max(1.0, math.ceil(self.balance_slack * total / k))
+        placed = int(self._sizes.sum()) + 1
+        capacity = max(1.0, math.ceil(
+            self.balance_slack * placed / self.num_partitions))
         neighbors = np.asarray(neighbors, dtype=np.int64)
         if neighbors.size and int(neighbors.min()) < 0:
             # A negative id would wrap-index into the assignment array and
@@ -78,17 +86,11 @@ class IncrementalEdgeCutPartitioner:
             raise PartitioningError(
                 f"neighbor ids must be >= 0, got {int(neighbors.min())}")
         in_range = neighbors[neighbors < self._assignment.size]
-        placed = self._assignment[in_range]
-        placed = placed[placed != UNASSIGNED]
-        if placed.size:
-            counts = np.bincount(placed, minlength=k).astype(np.float64)
-        else:
-            counts = np.zeros(k, dtype=np.float64)
-        scores = counts * (1.0 - self._sizes / capacity)
-        target = argmax_with_ties(scores, tie_break=self._sizes, rng=rng)
+        target = _ldg_target(self._assignment[in_range], self._sizes,
+                             capacity, rng)
         self._assignment = np.append(self._assignment, np.int32(target))
         self._sizes[target] += 1
-        return int(target)
+        return target
 
     def require_covers(self, graph: Graph) -> None:
         """Raise unless the accumulated assignment covers *graph* exactly.
@@ -159,6 +161,22 @@ def hermes_refine(
     Returns a new :class:`VertexPartition` (the input is not modified)
     whose cut is never worse than the input's.
     """
+    return refine_boundary(graph, partition, None, balance_slack,
+                           max_passes, max_moves, seed, "hermes")
+
+
+def refine_boundary(graph: Graph, partition: VertexPartition,
+                    edge_weights: np.ndarray | None, balance_slack: float,
+                    max_passes: int, max_moves: int | None, seed,
+                    label: str) -> VertexPartition:
+    """The boundary refinement loop of Hermes and TAPER.
+
+    Each pass visits the endpoints of cut edges (of positive weight) in
+    random order and moves each to the partition its edges' weight
+    favours most over its own, if that gain is positive and the target
+    stays within ``β·|V|/k``.  ``edge_weights=None`` weighs every edge
+    one (Hermes: cut edges saved); checking the weights is the caller's.
+    """
     if partition.num_vertices != graph.num_vertices:
         raise PartitioningError(
             f"partition covers {partition.num_vertices} vertices but graph "
@@ -175,23 +193,29 @@ def hermes_refine(
     sizes = partition.sizes().astype(np.int64)
     capacity = max(1.0, balance_slack * graph.num_vertices / k)
     budget = math.inf if max_moves is None else max_moves
+    src, dst = graph.src, graph.dst
 
-    total_moved = 0
+    moved = 0
     for _pass in range(max_passes):
-        if total_moved >= budget:
+        if moved >= budget:
             break
-        boundary = _boundary_vertices(graph, assignment)
-        if boundary.size == 0:
+        cross = assignment[src] != assignment[dst]
+        if edge_weights is not None:
+            cross &= edge_weights > 0
+        if not cross.any():
             break
-        moved = 0
+        boundary = sorted_unique(np.concatenate([src[cross], dst[cross]]))
+        moved_before = moved
         for u in rng.permutation(boundary).tolist():
-            if total_moved >= budget:
+            if moved >= budget:
                 break
             current = assignment[u]
-            neighbor_parts = assignment[graph.neighbors(u)]
-            gain_to = np.bincount(neighbor_parts, minlength=k).astype(np.float64)
-            internal = gain_to[current]
-            gain_to -= internal
+            # neighbors(u): out-edges, then in-edges, each by edge id.
+            weights = None if edge_weights is None else edge_weights[
+                np.concatenate((graph.out_edge_ids(u), graph.in_edge_ids(u)))]
+            gain_to = np.bincount(assignment[graph.neighbors(u)],
+                                  weights=weights, minlength=k).astype(np.float64)
+            gain_to -= gain_to[current]
             gain_to[current] = 0.0
             feasible = sizes + 1 <= capacity
             feasible[current] = False
@@ -202,11 +226,10 @@ def hermes_refine(
                 sizes[current] -= 1
                 sizes[best] += 1
                 moved += 1
-                total_moved += 1
-        if moved == 0:
+        if moved == moved_before:
             break
     return VertexPartition(k, assignment,
-                           algorithm=f"{partition.algorithm}+hermes")
+                           algorithm=f"{partition.algorithm}+{label}")
 
 
 def reassign_lost_vertices(
@@ -245,9 +268,6 @@ def reassign_lost_vertices(
     k = partition.num_partitions
     assignment = partition.assignment.copy()
     lost = np.flatnonzero(assignment == lost_part)
-    algorithm = f"{partition.algorithm}+failover"
-    if lost.size == 0:
-        return VertexPartition(k, assignment, algorithm=algorithm)
     assignment[lost] = UNASSIGNED
     survivors = assignment[assignment != UNASSIGNED]
     sizes = np.bincount(survivors, minlength=k).astype(np.int64)
@@ -257,19 +277,24 @@ def reassign_lost_vertices(
     dead_penalty = np.zeros(k)
     dead_penalty[lost_part] = -np.inf
     for u in lost.tolist():
-        neighbor_parts = assignment[graph.neighbors(u)]
-        neighbor_parts = neighbor_parts[neighbor_parts != UNASSIGNED]
-        counts = np.bincount(neighbor_parts, minlength=k).astype(np.float64)
-        scores = counts * (1.0 - sizes / capacity) + dead_penalty
-        target = argmax_with_ties(scores, tie_break=sizes, rng=rng)
+        target = _ldg_target(assignment[graph.neighbors(u)], sizes,
+                             capacity, rng, dead_penalty)
         assignment[u] = target
         sizes[target] += 1
-    return VertexPartition(k, assignment, algorithm=algorithm)
+    return VertexPartition(k, assignment,
+                           algorithm=f"{partition.algorithm}+failover")
 
 
-def _boundary_vertices(graph: Graph, assignment: np.ndarray) -> np.ndarray:
-    """Vertices with at least one neighbour in another partition."""
-    cross = assignment[graph.src] != assignment[graph.dst]
-    if not cross.any():
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate([graph.src[cross], graph.dst[cross]]))
+def _ldg_target(neighbor_parts: np.ndarray, sizes: np.ndarray,
+                capacity: float, rng: np.random.Generator,
+                penalty: np.ndarray | None = None) -> int:
+    """LDG against a partial placement: ``counts * (1 - sizes /
+    capacity)`` over the placed neighbours' partitions, plus *penalty*
+    (``-inf`` rules a partition out); ties to the least loaded, then
+    *rng*."""
+    placed = neighbor_parts[neighbor_parts != UNASSIGNED]
+    counts = np.bincount(placed, minlength=sizes.size).astype(np.float64)
+    scores = counts * (1.0 - sizes / capacity)
+    if penalty is not None:
+        scores += penalty
+    return argmax_tie_least_loaded(scores, sizes, rng)

@@ -27,11 +27,11 @@ PowerGraph-greedy):
   HDRF and greedy cores as ``ceil(k/64)`` ``uint64`` words per vertex,
   read and written as one Python ``int`` and enumerated through per-byte
   member tables, so a scan visits only the partitions in a mask;
-* :func:`argmax_tie_least_loaded` / :func:`argmin_with_ties_inline` /
-  :func:`pick_least_loaded` — allocation-light tie-breaking,
-  bit-identical (including RNG consumption) to
-  :func:`repro.partitioning.base.argmax_with_ties` with a least-loaded
-  tie break and :func:`repro.partitioning.base.argmin_with_ties`.
+* :func:`argmax_tie_least_loaded` / :func:`pick_least_loaded` —
+  allocation-light tie-breaking, bit-identical (including RNG
+  consumption) to :func:`repro.partitioning.base.argmax_with_ties` with
+  a least-loaded tie break and
+  :func:`repro.partitioning.base.argmin_with_ties`.
 
 Every kernel is a pure performance change: the golden-digest equivalence
 suite (``tests/test_partitioning_kernels.py``) asserts that ported
@@ -56,7 +56,6 @@ __all__ = [
     "LdgKernel",
     "ReplicaMasks",
     "argmax_tie_least_loaded",
-    "argmin_with_ties_inline",
     "iter_edge_chunks",
     "iter_vertex_arrivals",
     "pick_least_loaded",
@@ -274,36 +273,7 @@ def argmax_tie_least_loaded(
             ties.append(i)
     if len(ties) == 1:
         return ties[0]
-    loads = sizes.tolist()
-    lightest = min(loads[i] for i in ties)
-    ties = [i for i in ties if loads[i] == lightest]
-    if len(ties) == 1 or rng is None:
-        return ties[0]
-    return ties[int(rng.integers(0, len(ties)))]
-
-
-def argmin_with_ties_inline(
-    values: np.ndarray, rng: np.random.Generator | None,
-) -> int:
-    """Index of the min; ties broken uniformly at random when *rng* given.
-
-    Semantically identical — including RNG consumption — to
-    :func:`repro.partitioning.base.argmin_with_ties`, scalar-scanned for
-    the same reason as :func:`argmax_tie_least_loaded`.
-    """
-    items = values.tolist()
-    best = items[0]
-    ties = [0]
-    for i in range(1, len(items)):
-        item = items[i]
-        if item < best:
-            best = item
-            ties = [i]
-        elif item == best:
-            ties.append(i)
-    if len(ties) == 1 or rng is None:
-        return ties[0]
-    return ties[int(rng.integers(0, len(ties)))]
+    return pick_least_loaded(ties, sizes.tolist(), rng)
 
 
 def pick_least_loaded(candidates: list[int], loads: list[int],
@@ -312,9 +282,8 @@ def pick_least_loaded(candidates: list[int], loads: list[int],
     broken uniformly at random when *rng* is given.
 
     Equal, including RNG consumption, to
-    ``candidates[argmin_with_ties_inline(sizes[candidates], rng)]`` —
-    and so to the least-loaded stage of :func:`argmax_tie_least_loaded`
-    when *candidates* are the score ties.
+    ``candidates[argmin_with_ties(sizes[candidates], rng)]``.  Grid,
+    greedy, HDRF and :func:`argmax_tie_least_loaded` pick with it.
     """
     lightest = min([loads[p] for p in candidates])
     ties = [p for p in candidates if loads[p] == lightest]

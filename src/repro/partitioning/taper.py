@@ -14,7 +14,9 @@ This module implements that idea on top of this repo's query machinery:
 2. :func:`inter_partition_traversals` is TAPER's objective;
 3. :func:`taper_refine` migrates boundary vertices, LDG-like, to the
    partition holding the largest traversal weight, under a balance
-   constraint — improving the objective monotonically.
+   constraint — improving the objective monotonically.  The loop is
+   :func:`repro.partitioning.dynamic.refine_boundary`, which Hermes-style
+   refinement runs with every edge weighing one.
 
 Together with :func:`repro.partitioning.workload_aware.
 workload_aware_partition` this covers both workload-aware strategies the
@@ -25,10 +27,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError, PartitioningError
+from repro.errors import ConfigurationError
 from repro.graph.digraph import Graph
-from repro.partitioning.base import VertexPartition, check_finite_at_least
-from repro.rng import make_rng
+from repro.partitioning.base import VertexPartition, check_finite_entries
+from repro.partitioning.dynamic import refine_boundary
 
 
 def traversal_weights_from_plans(graph: Graph, plans) -> np.ndarray:
@@ -82,54 +84,11 @@ def taper_refine(
 
     Like Hermes-style refinement, but gains are traversal weights rather
     than raw edge counts: a vertex moves to the partition whose queries
-    cross to it most often.  Returns a new partition; the objective never
-    worsens.
+    cross to it most often, and only endpoints of traversed cut edges
+    are visited.  Returns a new partition; the objective never worsens.
     """
-    weights = np.asarray(edge_weights, dtype=np.float64)
+    weights = check_finite_entries("edge weight", edge_weights)
     if weights.shape != (graph.num_edges,):
         raise ConfigurationError("edge_weights must have one entry per edge")
-    if (weights < 0).any():
-        raise ConfigurationError("edge_weights must be non-negative")
-    if partition.num_vertices != graph.num_vertices:
-        raise PartitioningError("partition does not cover the graph")
-    if not partition.is_complete():
-        raise PartitioningError("cannot refine an incomplete partitioning")
-    check_finite_at_least("balance_slack (beta)", balance_slack, 1)
-
-    rng = make_rng(seed)
-    k = partition.num_partitions
-    assignment = partition.assignment.copy()
-    sizes = partition.sizes().astype(np.int64)
-    capacity = max(1.0, balance_slack * graph.num_vertices / k)
-    src, dst = graph.src, graph.dst
-
-    for _pass in range(max_passes):
-        # Boundary vertices with traversal weight at stake.
-        cross = (assignment[src] != assignment[dst]) & (weights > 0)
-        if not cross.any():
-            break
-        hot = np.unique(np.concatenate([src[cross], dst[cross]]))
-        moved = 0
-        for u in rng.permutation(hot).tolist():
-            current = assignment[u]
-            gain_to = np.zeros(k, dtype=np.float64)
-            out_ids = graph.out_edge_ids(u)
-            in_ids = graph.in_edge_ids(u)
-            np.add.at(gain_to, assignment[dst[out_ids]], weights[out_ids])
-            np.add.at(gain_to, assignment[src[in_ids]], weights[in_ids])
-            internal = gain_to[current]
-            gain_to -= internal
-            gain_to[current] = 0.0
-            feasible = sizes + 1 <= capacity
-            feasible[current] = False
-            candidate = np.where(feasible, gain_to, -np.inf)
-            best = int(np.argmax(candidate))
-            if candidate[best] > 0:
-                assignment[u] = best
-                sizes[current] -= 1
-                sizes[best] += 1
-                moved += 1
-        if moved == 0:
-            break
-    return VertexPartition(k, assignment,
-                           algorithm=f"{partition.algorithm}+taper")
+    return refine_boundary(graph, partition, weights, balance_slack,
+                           max_passes, None, seed, "taper")

@@ -33,7 +33,6 @@ from repro.partitioning.kernels import (
     LdgKernel,
     ReplicaMasks,
     argmax_tie_least_loaded,
-    argmin_with_ties_inline,
     iter_edge_chunks,
     iter_vertex_arrivals,
     pick_least_loaded,
@@ -359,14 +358,6 @@ class TestTieBreakHelpers:
         before = rng.bit_generator.state["state"]["state"]
         argmax_tie_least_loaded(np.array([0.0, 2.0]), np.array([5, 5]), rng)
         assert rng.bit_generator.state["state"]["state"] == before
-
-    def test_argmin_matches_base_helper(self):
-        rng_a = np.random.default_rng(4)
-        rng_b = np.random.default_rng(4)
-        values = np.array([2, 1, 1, 5])
-        for _ in range(20):
-            assert (argmin_with_ties_inline(values, rng_a)
-                    == argmin_with_ties(values, rng=rng_b))
 
     def test_pick_least_loaded_matches_base_helper(self):
         """Same pick and same RNG stream as the base argmin over the
