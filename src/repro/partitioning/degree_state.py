@@ -67,9 +67,19 @@ def run_inclusive_ranks(values: np.ndarray) -> np.ndarray:
     stream) and the chunk-accumulating tables here (per chunk, offset by
     the carried counters).
     """
+    return _count_runs(values)[0]
+
+
+def _count_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                               np.ndarray]:
+    """``(run_inclusive_ranks(values), uniques, totals)`` from one stable
+    sort, where ``uniques, totals`` equal ``np.unique(values,
+    return_counts=True)``: the tables add a chunk's totals with one
+    fancy-indexed ``+=`` instead of the much slower ``np.add.at``."""
     n = int(values.size)
     if n == 0:
-        return np.zeros(0, dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, values[:0], empty
     order = np.argsort(values, kind="stable")
     sorted_values = values[order]
     is_run_start = np.empty(n, dtype=bool)
@@ -77,10 +87,10 @@ def run_inclusive_ranks(values: np.ndarray) -> np.ndarray:
     np.not_equal(sorted_values[1:], sorted_values[:-1], out=is_run_start[1:])
     run_starts = np.flatnonzero(is_run_start)
     run_lengths = np.diff(np.append(run_starts, n))
-    rank = np.arange(n, dtype=np.int64) - np.repeat(run_starts, run_lengths)
-    out = np.empty(n, dtype=np.int64)
-    out[order] = rank + 1
-    return out
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = (np.arange(1, n + 1, dtype=np.int64)
+                    - np.repeat(run_starts, run_lengths))
+    return ranks, sorted_values[run_starts], run_lengths
 
 
 def _interleave(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -90,25 +100,6 @@ def _interleave(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     interleaved[0::2] = src
     interleaved[1::2] = dst
     return interleaved
-
-
-def _run_totals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique values of a chunk with their occurrence counts.
-
-    Like ``np.unique(values, return_counts=True)`` but reusing the same
-    stable sort the rank computation performs; the unique index arrays
-    let the tables apply one fancy-indexed ``+=`` per chunk instead of
-    the much slower ``np.add.at`` scatter.
-    """
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    n = int(values.size)
-    is_run_start = np.empty(n, dtype=bool)
-    is_run_start[0] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=is_run_start[1:])
-    run_starts = np.flatnonzero(is_run_start)
-    run_lengths = np.diff(np.append(run_starts, n))
-    return sorted_values[run_starts], run_lengths
 
 
 class ExactDegreeTable:
@@ -147,8 +138,8 @@ class ExactDegreeTable:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty.copy()
         interleaved = _interleave(src, dst)
-        inclusive = self._counts[interleaved] + run_inclusive_ranks(interleaved)
-        uniques, totals = _run_totals(interleaved)
+        ranks, uniques, totals = _count_runs(interleaved)
+        inclusive = self._counts[interleaved] + ranks
         self._counts[uniques] += totals
         d_src = inclusive[0::2] + (src == dst)
         d_dst = inclusive[1::2]
@@ -192,7 +183,7 @@ class CountMinSketch:
             return
         values = np.asarray(values, dtype=np.int64)
         for row in range(self.depth):
-            uniques, totals = _run_totals(self._slots(values, row))
+            _, uniques, totals = _count_runs(self._slots(values, row))
             self._table[row, uniques] += totals
 
     def estimate(self, values: np.ndarray) -> np.ndarray:
@@ -220,8 +211,8 @@ class CountMinSketch:
         estimates: np.ndarray | None = None
         for row in range(self.depth):
             slots = self._slots(values, row)
-            row_estimate = self._table[row, slots] + run_inclusive_ranks(slots)
-            uniques, totals = _run_totals(slots)
+            ranks, uniques, totals = _count_runs(slots)
+            row_estimate = self._table[row, slots] + ranks
             self._table[row, uniques] += totals
             if estimates is None:
                 estimates = row_estimate
