@@ -39,19 +39,6 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def derive_rng(rng: np.random.Generator,
-               *labels: Union[int, str]) -> np.random.Generator:
-    """Derive an independent child generator from *rng*.
-
-    *labels* (ints or strings) namespace the child stream, so the same
-    parent produces the same child for the same labels regardless of how
-    much randomness was consumed in between.
-    """
-    material = [hash(str(label)) & 0x7FFFFFFF for label in labels]
-    material.append(int(rng.integers(0, 2**31)))
-    return np.random.default_rng(np.random.SeedSequence(material))
-
-
 def splitmix64(value: Union[int, np.ndarray], seed: int = 0) -> np.ndarray:
     """SplitMix64 avalanche hash of ``value`` (scalar or ndarray) → uint64.
 

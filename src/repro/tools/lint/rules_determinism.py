@@ -71,7 +71,7 @@ class RawNumpyRandom(Rule):
     code = "RL001"
     name = "raw-numpy-rng"
     summary = ("np.random.* construction or global-state use outside "
-               "repro.rng — route through make_rng/derive_rng")
+               "repro.rng — route through make_rng")
 
     #: Constructors and global-state entry points.  Notably *not*
     #: ``Generator`` (a legitimate type annotation everywhere).
@@ -94,16 +94,16 @@ class RawNumpyRandom(Rule):
                     yield module.finding(
                         self.code,
                         f"raw numpy RNG `{name}` outside repro.rng — use "
-                        f"repro.rng.make_rng / derive_rng so seeds stay "
-                        f"centrally derivable", node)
+                        f"repro.rng.make_rng so seeds stay centrally "
+                        f"derivable", node)
             elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
                 bad = [a.name for a in node.names if a.name in self.banned]
                 if bad:
                     yield module.finding(
                         self.code,
                         f"importing {', '.join(bad)} from numpy.random "
-                        f"outside repro.rng — use repro.rng.make_rng / "
-                        f"derive_rng", node)
+                        f"outside repro.rng — use repro.rng.make_rng",
+                        node)
 
 
 @register

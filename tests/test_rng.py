@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.rng import SeededHash, derive_rng, make_rng, splitmix64
+from repro.rng import SeededHash, make_rng, splitmix64
 
 
 class TestMakeRng:
@@ -25,23 +25,6 @@ class TestMakeRng:
 
     def test_none_gives_generator(self):
         assert isinstance(make_rng(None), np.random.Generator)
-
-
-class TestDeriveRng:
-    def test_children_independent_of_labels(self):
-        parent1 = make_rng(3)
-        parent2 = make_rng(3)
-        child_a = derive_rng(parent1, "a")
-        child_b = derive_rng(parent2, "a")
-        assert np.array_equal(child_a.integers(0, 10**9, 5),
-                              child_b.integers(0, 10**9, 5))
-
-    def test_different_labels_different_children(self):
-        parent = make_rng(3)
-        child_a = derive_rng(parent, "a")
-        child_b = derive_rng(parent, "b")
-        assert not np.array_equal(child_a.integers(0, 10**9, 5),
-                                  child_b.integers(0, 10**9, 5))
 
 
 class TestSplitmix64:
