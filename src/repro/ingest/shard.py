@@ -36,7 +36,11 @@ from repro import telemetry
 from repro.errors import IngestError
 from repro.ingest.memory import MemoryMeter, peak_rss_bytes
 from repro.ingest.reader import EdgeStreamFile
-from repro.partitioning.base import UNASSIGNED, EdgePartition
+from repro.partitioning.base import (
+    UNASSIGNED,
+    EdgePartition,
+    check_finite_at_least,
+)
 from repro.partitioning.degree_state import (
     DEFAULT_SKETCH_DEPTH,
     DEFAULT_SKETCH_WIDTH,
@@ -102,6 +106,13 @@ class ShardConfig:
             raise IngestError("workers must be >= 1")
         if self.chunk_edges < 1:
             raise IngestError("chunk_edges must be >= 1")
+        # The cores are built directly, so check what HdrfPartitioner and
+        # DegreeStatePartitioner would.
+        check_finite_at_least("balance_weight (lambda)", self.balance_weight,
+                              0, strict=True)
+        check_finite_at_least("balance_slack (beta)", self.balance_slack, 1)
+        check_finite_at_least("sketch_width", self.sketch_width, 1)
+        check_finite_at_least("sketch_depth", self.sketch_depth, 1)
 
     def to_fields(self) -> dict:
         """JSON-serialisable identity (cache keys, provenance stamps).

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.errors import IngestError
+from repro.errors import ConfigurationError, IngestError
 from repro.graph.generators.rmat import rmat
 from repro.ingest import (
     EdgeStreamFile,
@@ -73,6 +73,20 @@ class TestShardConfig:
     def test_validation(self, overrides):
         with pytest.raises(IngestError):
             config(**overrides)
+
+    @pytest.mark.parametrize("field,value", [
+        ("balance_weight", -1.0), ("balance_weight", 0.0),
+        ("balance_weight", float("nan")), ("balance_weight", float("inf")),
+        ("balance_slack", 0.25), ("balance_slack", float("nan")),
+        ("sketch_width", 0), ("sketch_depth", 0),
+        ("sketch_depth", float("inf")),
+    ])
+    def test_core_parameters_checked_at_construction(self, field, value):
+        """The sharded path builds its cores directly; a bad HDRF or
+        sketch parameter must still fail here, naming the field, not
+        deep inside the loop (or not at all)."""
+        with pytest.raises(ConfigurationError, match=field):
+            config(**{field: value})
 
     def test_to_fields_excludes_workers(self):
         fields = config(workers=4).to_fields()
