@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.faults import FaultSchedule
+from repro.partitioning.base import check_finite_at_least
 
 
 @dataclass(frozen=True)
@@ -130,39 +131,38 @@ class ServiceConfig:
             raise ConfigurationError("num_partitions must be >= 1")
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
-        if self.epoch_duration <= 0:
-            raise ConfigurationError("epoch_duration must be positive")
+        check_finite_at_least("epoch_duration", self.epoch_duration, 0,
+                              strict=True)
         if self.clients_per_worker < 1:
             raise ConfigurationError("clients_per_worker must be >= 1")
         if self.mutations_per_epoch < 0:
             raise ConfigurationError("mutations_per_epoch must be >= 0")
         if self.query_bindings_per_epoch < 1:
             raise ConfigurationError("query_bindings_per_epoch must be >= 1")
+        check_finite_at_least("workload_skew", self.workload_skew, 0)
         fractions = (self.edge_add_fraction, self.edge_delete_fraction,
                      self.vertex_add_fraction, self.vertex_remove_fraction)
         if any(not 0.0 <= f <= 1.0 for f in fractions) or sum(fractions) > 1.0:
             raise ConfigurationError(
                 "mutation mix fractions must lie in [0, 1] and sum to <= 1 "
                 "(the remainder is vertex updates)")
-        if self.drift_threshold is not None and self.drift_threshold < 0:
-            raise ConfigurationError("drift_threshold must be >= 0 or None")
-        if self.imbalance_weight < 0:
-            raise ConfigurationError("imbalance_weight must be >= 0")
+        if self.drift_threshold is not None:
+            check_finite_at_least("drift_threshold", self.drift_threshold, 0)
+        check_finite_at_least("imbalance_weight", self.imbalance_weight, 0)
         if self.migration_budget < 0:
             raise ConfigurationError("migration_budget must be >= 0")
         if self.migration_batch_vertices < 1:
             raise ConfigurationError("migration_batch_vertices must be >= 1")
-        if self.state_bytes_per_vertex <= 0:
-            raise ConfigurationError("state_bytes_per_vertex must be positive")
-        if self.migration_bandwidth_bytes_per_second <= 0:
-            raise ConfigurationError(
-                "migration_bandwidth_bytes_per_second must be positive")
-        if self.migration_wait_seconds < 0:
-            raise ConfigurationError("migration_wait_seconds must be >= 0")
+        check_finite_at_least("state_bytes_per_vertex",
+                              self.state_bytes_per_vertex, 0, strict=True)
+        check_finite_at_least("migration_bandwidth_bytes_per_second",
+                              self.migration_bandwidth_bytes_per_second, 0,
+                              strict=True)
+        check_finite_at_least("migration_wait_seconds",
+                              self.migration_wait_seconds, 0)
         if self.migration_cooldown_epochs < 0:
             raise ConfigurationError("migration_cooldown_epochs must be >= 0")
-        if self.balance_slack < 1.0:
-            raise ConfigurationError("balance_slack must be >= 1")
+        check_finite_at_least("balance_slack", self.balance_slack, 1)
         if self.refine_passes < 1:
             raise ConfigurationError("refine_passes must be >= 1")
         if self.mutation_queue_bound < 0:

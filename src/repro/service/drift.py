@@ -15,14 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
 from repro.graph.digraph import Graph
 from repro.metrics.quality import (
     edge_cut_ratio,
     load_imbalance,
     replication_factor,
 )
-from repro.partitioning.base import EdgePartition, VertexPartition
+from repro.partitioning.base import (
+    EdgePartition,
+    VertexPartition,
+    check_finite_at_least,
+)
 
 
 @dataclass(frozen=True)
@@ -68,10 +71,9 @@ class DriftMonitor:
 
     def __init__(self, threshold: float | None = 0.04,
                  imbalance_weight: float = 0.25):
-        if threshold is not None and threshold < 0:
-            raise ConfigurationError("threshold must be >= 0 or None")
-        if imbalance_weight < 0:
-            raise ConfigurationError("imbalance_weight must be >= 0")
+        if threshold is not None:
+            check_finite_at_least("threshold", threshold, 0)
+        check_finite_at_least("imbalance_weight", imbalance_weight, 0)
         self.threshold = threshold
         self.imbalance_weight = imbalance_weight
         self._baseline_cut = 0.0

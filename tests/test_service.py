@@ -250,6 +250,28 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ServiceConfig(balance_slack=0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", [
+        "epoch_duration", "drift_threshold", "imbalance_weight",
+        "workload_skew", "balance_slack", "state_bytes_per_vertex",
+        "migration_bandwidth_bytes_per_second", "migration_wait_seconds",
+    ])
+    def test_float_fields_reject_nan_and_inf(self, field, value):
+        """A NaN epoch_duration used to run epochs that complete no
+        query, and a NaN drift_threshold silently never migrated."""
+        with pytest.raises(ConfigurationError, match=field):
+            ServiceConfig(**{field: value})
+
+    def test_negative_workload_skew_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="workload_skew"):
+            ServiceConfig(workload_skew=-0.5)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["threshold", "imbalance_weight"])
+    def test_drift_monitor_rejects_nan_and_inf(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            DriftMonitor(**{field: value})
+
     def test_update_fraction_complements_mix(self):
         config = ServiceConfig()
         total = (config.edge_add_fraction + config.edge_delete_fraction
