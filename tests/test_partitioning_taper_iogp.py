@@ -119,6 +119,17 @@ class TestTaperRefine:
         with pytest.raises(PartitioningError):
             taper_refine(graph, incomplete, np.zeros(graph.num_edges))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weights_rejected(self, query_setup, bad):
+        """A NaN weight used to move vertices and leave a NaN objective;
+        an inf one raised an inf - inf RuntimeWarning."""
+        graph, plans = query_setup
+        weights = traversal_weights_from_plans(graph, plans)
+        weights[7] = bad
+        base = make_partitioner("ecr").partition(graph, 4)
+        with pytest.raises(ConfigurationError, match="edge weight 7"):
+            taper_refine(graph, base, weights)
+
 
 class TestIogp:
     def test_complete_assignment(self, small_twitter):
