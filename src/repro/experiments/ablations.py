@@ -41,8 +41,7 @@ SENDER_SIDE_ALGORITHMS = ("ecr", "ldg", "vcr", "hdrf", "hcr")
 
 @requires(lambda profile: partition_jobs(
     ["twitter"], ["greedy", "hdrf"], [16], orders=STREAM_ORDERS))
-def ablation_stream_order(ctx: ExperimentContext | None = None,
-                          dataset: str = "twitter",
+def ablation_stream_order(ctx: ExperimentContext, dataset: str = "twitter",
                           num_partitions: int = 16) -> ExperimentReport:
     """Stream-order sensitivity: greedy vertex-cut vs HDRF.
 
@@ -50,7 +49,6 @@ def ablation_stream_order(ctx: ExperimentContext | None = None,
     orders and might result in a single partition in case of breadth-first
     traversal order. HDRF avoids this problem" via its λ balance term.
     """
-    ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
     report = ExperimentReport(
         "ablation-stream-order",
@@ -80,11 +78,9 @@ def ablation_stream_order(ctx: ExperimentContext | None = None,
 
 @requires(lambda profile: partition_jobs(
     ["twitter"], ["fennel"], [16], orders=["random"], gamma=FENNEL_GAMMAS))
-def ablation_fennel_gamma(ctx: ExperimentContext | None = None,
-                          dataset: str = "twitter",
+def ablation_fennel_gamma(ctx: ExperimentContext, dataset: str = "twitter",
                           num_partitions: int = 16) -> ExperimentReport:
     """FENNEL γ sweep: cut quality vs balance trade-off (Eq. 5)."""
-    ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
     report = ExperimentReport(
         "ablation-fennel-gamma",
@@ -107,11 +103,9 @@ def ablation_fennel_gamma(ctx: ExperimentContext | None = None,
 
 @requires(lambda profile: partition_jobs(
     ["twitter"], ["hdrf"], [16], orders=["bfs"], balance_weight=HDRF_LAMBDAS))
-def ablation_hdrf_lambda(ctx: ExperimentContext | None = None,
-                         dataset: str = "twitter",
+def ablation_hdrf_lambda(ctx: ExperimentContext, dataset: str = "twitter",
                          num_partitions: int = 16) -> ExperimentReport:
     """HDRF λ sweep: replication vs balance (Eq. 7)."""
-    ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
     report = ExperimentReport(
         "ablation-hdrf-lambda",
@@ -137,11 +131,9 @@ def ablation_hdrf_lambda(ctx: ExperimentContext | None = None,
 @requires(lambda profile: partition_jobs(
     ["twitter"], ["hg"], [16], orders=["random"],
     degree_threshold=GINGER_THRESHOLDS))
-def ablation_ginger_threshold(ctx: ExperimentContext | None = None,
-                              dataset: str = "twitter",
+def ablation_ginger_threshold(ctx: ExperimentContext, dataset: str = "twitter",
                               num_partitions: int = 16) -> ExperimentReport:
     """Ginger degree-threshold sweep (the hybrid-cut cutoff)."""
-    ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
     report = ExperimentReport(
         "ablation-ginger-threshold",
@@ -168,11 +160,9 @@ def ablation_ginger_threshold(ctx: ExperimentContext | None = None,
 @requires(lambda profile: partition_jobs(["usa-road"], ["mts"], [16])
           + partition_jobs(["usa-road"], ["re-ldg"], [16], orders=["random"],
                            num_passes=RESTREAM_PASSES))
-def ablation_restreaming(ctx: ExperimentContext | None = None,
-                         dataset: str = "usa-road",
+def ablation_restreaming(ctx: ExperimentContext, dataset: str = "usa-road",
                          num_partitions: int = 16) -> ExperimentReport:
     """re-LDG pass-count sweep: approaching offline (MTS) quality."""
-    ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
     report = ExperimentReport(
         "ablation-restreaming",
@@ -200,7 +190,7 @@ def ablation_restreaming(ctx: ExperimentContext | None = None,
 
 @requires(lambda profile: partition_jobs([ONLINE_DATASET], ["ldg", "mts"],
                                           [16]))
-def ablation_dynamic_updates(ctx: ExperimentContext | None = None,
+def ablation_dynamic_updates(ctx: ExperimentContext,
                              dataset: str = ONLINE_DATASET,
                              num_partitions: int = 16,
                              growth_fraction: float = 0.2) -> ExperimentReport:
@@ -219,7 +209,6 @@ def ablation_dynamic_updates(ctx: ExperimentContext | None = None,
     from repro.partitioning import LdgPartitioner, hermes_refine
     from repro.rng import make_rng
 
-    ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
     rng = make_rng(PARTITION_SEED)
     keep = rng.random(graph.num_edges) >= growth_fraction
@@ -257,7 +246,7 @@ def ablation_dynamic_updates(ctx: ExperimentContext | None = None,
 @requires(lambda profile: simulation_jobs(
     [ONLINE_DATASET], ONLINE_ALGORITHMS, [16], ["one_hop"],
     [MEDIUM_LOAD_CLIENTS]))
-def ablation_straggler(ctx: ExperimentContext | None = None,
+def ablation_straggler(ctx: ExperimentContext,
                        dataset: str = ONLINE_DATASET, num_workers: int = 16,
                        slow_factor: float = 0.4) -> ExperimentReport:
     """Failure injection: one worker degrades to ``slow_factor`` speed.
@@ -269,7 +258,6 @@ def ablation_straggler(ctx: ExperimentContext | None = None,
     behind the paper's hash-partitioning recommendation for
     latency-critical workloads.
     """
-    ctx = ctx or ExperimentContext()
     report = ExperimentReport(
         "ablation-straggler",
         f"Tail latency with one worker at {slow_factor:.0%} speed "
@@ -308,7 +296,7 @@ def ablation_straggler(ctx: ExperimentContext | None = None,
     [ONLINE_DATASET], FAULT_ONLINE_ALGORITHMS, [16], ["one_hop"],
     [MEDIUM_LOAD_CLIENTS]) + analytics_jobs(
     [ONLINE_DATASET], FAULT_OFFLINE_ALGORITHMS, [16], ["pagerank"]))
-def ablation_fault_tolerance(ctx: ExperimentContext | None = None,
+def ablation_fault_tolerance(ctx: ExperimentContext,
                              dataset: str = ONLINE_DATASET,
                              num_workers: int = 16) -> ExperimentReport:
     """Fault injection on both substrates: availability and recovery cost.
@@ -337,7 +325,6 @@ def ablation_fault_tolerance(ctx: ExperimentContext | None = None,
         SlowdownInterval,
     )
 
-    ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
     bindings = ctx.bindings(dataset, "one_hop")
     duration = ctx.profile.sim_duration
@@ -448,7 +435,7 @@ COST_TIMING_REPEATS = 3
 
 
 @requires(lambda profile: dataset_jobs("twitter"))
-def ablation_partitioning_cost(ctx: ExperimentContext | None = None,
+def ablation_partitioning_cost(ctx: ExperimentContext,
                                dataset: str = "twitter",
                                num_partitions: int = 16) -> ExperimentReport:
     """Partitioning wall time and synopsis memory per algorithm.
@@ -465,7 +452,6 @@ def ablation_partitioning_cost(ctx: ExperimentContext | None = None,
     import time
     import tracemalloc
 
-    ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
     report = ExperimentReport(
         "ablation-partitioning-cost",
@@ -505,7 +491,7 @@ def ablation_partitioning_cost(ctx: ExperimentContext | None = None,
 
 @requires(lambda profile: partition_jobs(["twitter"], SENDER_SIDE_ALGORITHMS,
                                           [16]))
-def ablation_sender_side_aggregation(ctx: ExperimentContext | None = None,
+def ablation_sender_side_aggregation(ctx: ExperimentContext,
                                      dataset: str = "twitter",
                                      num_partitions: int = 16) -> ExperimentReport:
     """Quantify Appendix B: the edge-cut PageRank advantage.
@@ -515,7 +501,6 @@ def ablation_sender_side_aggregation(ctx: ExperimentContext | None = None,
     out-edges are source-local in the Appendix-B placement) against the
     all-mirror rule a naive system would use.
     """
-    ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
     report = ExperimentReport(
         "ablation-sender-side-aggregation",

@@ -25,6 +25,7 @@ processes (byte-identical to the serial run — asserted, not assumed).
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 
@@ -52,38 +53,22 @@ examples:
 """
 
 
+#: Subcommands handed whole to another tool's ``main(argv)``, imported
+#: only when one runs.
+_DELEGATED = {
+    "trace": "repro.tools.trace_cli",      # profile a recorded trace
+    "lint": "repro.tools.lint.cli",        # reprolint, docs/static_analysis.md
+    "sanitize": "repro.tools.sanitize",    # hash-seed double run, same doc
+    "serve-sim": "repro.service.cli",      # docs/online_service.md
+    "health": "repro.tools.health_cli",    # SLO dashboard, docs/slo.md
+    "ingest": "repro.tools.ingest_cli",    # out-of-core, docs/scaling.md
+}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["trace"]:
-        # Profiling an existing trace is delegated to the repro-trace
-        # tool; `python -m repro trace out.jsonl` is the same command.
-        from repro.tools.trace_cli import main as trace_main
-        return trace_main(argv[1:])
-    if argv[:1] == ["lint"]:
-        # The reprolint invariant checker (docs/static_analysis.md);
-        # `python -m repro lint ...` is the same as the repro-lint script.
-        from repro.tools.lint.cli import main as lint_main
-        return lint_main(argv[1:])
-    if argv[:1] == ["sanitize"]:
-        # Runtime determinism sanitizer (docs/static_analysis.md):
-        # REPRO_SANITIZE=1 double-run with perturbed hash seeds.
-        from repro.tools.sanitize import main as sanitize_main
-        return sanitize_main(argv[1:])
-    if argv[:1] == ["serve-sim"]:
-        # The online partitioning service (docs/online_service.md);
-        # `python -m repro serve-sim --help` lists the scenario knobs.
-        from repro.service.cli import main as serve_main
-        return serve_main(argv[1:])
-    if argv[:1] == ["health"]:
-        # The SLO health dashboard over a service run (docs/slo.md):
-        # sparklines, error-budget burn, alert log, export artifacts.
-        from repro.tools.health_cli import main as health_main
-        return health_main(argv[1:])
-    if argv[:1] == ["ingest"]:
-        # Out-of-core streams (docs/scaling.md): spill generators to the
-        # on-disk .redg format, inspect files, sharded partitioning.
-        from repro.tools.ingest_cli import main as ingest_main
-        return ingest_main(argv[1:])
+    if argv and argv[0] in _DELEGATED:
+        return importlib.import_module(_DELEGATED[argv[0]]).main(argv[1:])
     if argv[:1] == ["run-all"]:
         return _run_all_command(argv[1:])
     if argv[:1] == ["cache"]:
@@ -120,12 +105,7 @@ def main(argv=None) -> int:
         return 0
 
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print("known experiments:", file=sys.stderr)
-        for name in EXPERIMENTS:
-            print(f"  {name}", file=sys.stderr)
+    if _reject_unknown(names):
         return 2
 
     from repro import telemetry
@@ -138,6 +118,17 @@ def main(argv=None) -> int:
         print(f"[trace: {tracer.num_spans} spans written to {args.trace}]")
         return status
     return _run_experiments(names, args.scale, telemetry.get_tracer())
+
+
+def _reject_unknown(names) -> bool:
+    """Name any unknown experiment and list the known ones on stderr."""
+    unknown = [n for n in names if n not in EXPERIMENTS]
+    if unknown:
+        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
+        print("known experiments:", file=sys.stderr)
+        for name in EXPERIMENTS:
+            print(f"  {name}", file=sys.stderr)
+    return bool(unknown)
 
 
 def _run_experiments(names, scale, tracer) -> int:
@@ -189,12 +180,7 @@ def _run_all_command(argv) -> int:
     args = parser.parse_args(argv)
 
     names = args.experiments or list(EXPERIMENTS)
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print("known experiments:", file=sys.stderr)
-        for name in EXPERIMENTS:
-            print(f"  {name}", file=sys.stderr)
+    if _reject_unknown(names):
         return 2
 
     cache: ArtifactCache | bool = False if args.no_cache else (

@@ -38,11 +38,38 @@ from repro.partitioning.workload_aware import workload_aware_partition
 STREAMING_ALGORITHMS = tuple(a for a in OFFLINE_ALGORITHMS if a != "mts")
 #: Fig. 12's fixed client population.
 TOTAL_CLIENTS = 192
+#: Figs. 6 and 14's two load scenarios: clients per worker by label.
+LOADS = {"medium": MEDIUM_LOAD_CLIENTS, "high": HIGH_LOAD_CLIENTS}
 
 
 def _mid_cluster(profile) -> int:
     """Fig. 9's cluster size: the largest offline k but one."""
     return max(profile.offline_partitions[:-1])
+
+
+def _execution_ms_grid(report, ctx, dataset: str, workload: str,
+                       title: str) -> dict:
+    """Figs. 3 and 13's table: *workload*'s execution time (ms) on
+    *dataset* per offline cluster size and algorithm."""
+    return report.add_grid(
+        title, "Partitions", ctx.profile.offline_partitions,
+        OFFLINE_ALGORITHMS,
+        lambda k, algorithm: ctx.analytics_run(
+            dataset, algorithm, k, workload).execution_seconds * 1e3,
+        digits=2)
+
+
+def _read_distributions(report, ctx, dataset: str, num_workers: int,
+                        title: str) -> dict:
+    """Figs. 7 and 15's box lines: vertex reads per worker (thousands)
+    of the medium-load 1-hop run, per online algorithm."""
+    return report.add_distributions(
+        title,
+        {algorithm: summarize(ctx.simulation(
+            dataset, algorithm, num_workers, "one_hop",
+            clients_per_worker=MEDIUM_LOAD_CLIENTS).read_distribution() / 1e3)
+         for algorithm in ONLINE_ALGORITHMS},
+        ("minimum", "p25", "median", "p75", "p95", "p99", "maximum"), 1)
 
 
 # ----------------------------------------------------------------------
@@ -51,10 +78,9 @@ def _mid_cluster(profile) -> int:
 @requires(lambda profile: analytics_jobs(
     ["twitter"], OFFLINE_ALGORITHMS, profile.offline_partitions,
     OFFLINE_WORKLOADS))
-def figure1(ctx: ExperimentContext | None = None,
+def figure1(ctx: ExperimentContext,
             dataset: str = "twitter") -> ExperimentReport:
     """Fig. 1: replication factor vs total network I/O per cut model."""
-    ctx = ctx or ExperimentContext()
     report = ExperimentReport(
         "figure1",
         f"Replication factor vs network I/O on {dataset} "
@@ -76,22 +102,22 @@ def figure1(ctx: ExperimentContext | None = None,
                 points[workload].setdefault(model, []).append((rf, mb))
                 table.add_row(workload, model, algorithm.upper(), k,
                               round(rf, 2), round(mb, 2))
+    models = sorted(set(CUT_MODELS.values()))
     slopes = report.add_table(Table(
         "Least-squares slope of network I/O vs replication factor "
         "(MB per replica unit, through origin)",
-        ["Workload", *sorted(set(CUT_MODELS.values()))],
+        ["Workload", *models],
     ))
     slope_data: dict[str, dict[str, float]] = {}
     for workload in OFFLINE_WORKLOADS:
         row = {}
-        for model in sorted(set(CUT_MODELS.values())):
+        for model in models:
             pts = np.array(points[workload].get(model, [(0, 0)]))
             x, y = pts[:, 0], pts[:, 1]
             denominator = float((x * x).sum())
             row[model] = float((x * y).sum() / denominator) if denominator else 0.0
         slope_data[workload] = row
-        slopes.add_row(workload,
-                       *[round(row[m], 2) for m in sorted(set(CUT_MODELS.values()))])
+        slopes.add_row(workload, *[round(row[m], 2) for m in models])
     report.data["points"] = points
     report.data["slopes"] = slope_data
     report.add_note("Expected shape: network I/O grows linearly with RF; "
@@ -103,27 +129,19 @@ def figure1(ctx: ExperimentContext | None = None,
 
 @requires(lambda profile: partition_jobs(
     OFFLINE_DATASETS, OFFLINE_ALGORITHMS, profile.offline_partitions))
-def figure2(ctx: ExperimentContext | None = None) -> ExperimentReport:
+def figure2(ctx: ExperimentContext) -> ExperimentReport:
     """Fig. 2: replication factor of every algorithm / dataset / k."""
-    ctx = ctx or ExperimentContext()
     report = ExperimentReport(
         "figure2", "Replication factors over 8..128 partitions",
     )
-    data: dict[str, dict[int, dict[str, float]]] = {}
-    for dataset in OFFLINE_DATASETS:
-        table = report.add_table(Table(
-            f"Replication factor — {dataset}",
-            ["Partitions", *[a.upper() for a in OFFLINE_ALGORITHMS]],
-        ))
-        data[dataset] = {}
-        for k in ctx.profile.offline_partitions:
-            row = {}
-            for algorithm in OFFLINE_ALGORITHMS:
-                row[algorithm] = ctx.placement(dataset, algorithm, k) \
-                    .replication_factor()
-            data[dataset][k] = row
-            table.add_row(k, *[round(row[a], 2) for a in OFFLINE_ALGORITHMS])
-    report.data["replication"] = data
+    report.data["replication"] = {
+        dataset: report.add_grid(
+            f"Replication factor — {dataset}", "Partitions",
+            ctx.profile.offline_partitions, OFFLINE_ALGORITHMS,
+            lambda k, algorithm: ctx.placement(dataset, algorithm, k)
+            .replication_factor(),
+            digits=2)
+        for dataset in OFFLINE_DATASETS}
     report.add_note("Expected shape: no universal winner — LDG/FNL lowest "
                     "on usa-road; HDRF lowest among vertex-cut on uk-web; "
                     "degree-aware methods (HDRF/DBH/HG) competitive with or "
@@ -134,28 +152,16 @@ def figure2(ctx: ExperimentContext | None = None) -> ExperimentReport:
 @requires(lambda profile: analytics_jobs(
     ["twitter"], OFFLINE_ALGORITHMS, profile.offline_partitions,
     OFFLINE_WORKLOADS))
-def figure3(ctx: ExperimentContext | None = None,
+def figure3(ctx: ExperimentContext,
             dataset: str = "twitter") -> ExperimentReport:
     """Fig. 3: execution time of PR / WCC / SSSP across cluster sizes."""
-    ctx = ctx or ExperimentContext()
     report = ExperimentReport(
         "figure3", f"Offline workload execution time on {dataset} (ms)",
     )
-    data: dict[str, dict[int, dict[str, float]]] = {}
-    for workload in OFFLINE_WORKLOADS:
-        table = report.add_table(Table(
-            f"Execution time (ms) — {workload}",
-            ["Partitions", *[a.upper() for a in OFFLINE_ALGORITHMS]],
-        ))
-        data[workload] = {}
-        for k in ctx.profile.offline_partitions:
-            row = {}
-            for algorithm in OFFLINE_ALGORITHMS:
-                run = ctx.analytics_run(dataset, algorithm, k, workload)
-                row[algorithm] = run.execution_seconds * 1e3
-            data[workload][k] = row
-            table.add_row(k, *[round(row[a], 2) for a in OFFLINE_ALGORITHMS])
-    report.data["execution_ms"] = data
+    report.data["execution_ms"] = {
+        workload: _execution_ms_grid(report, ctx, dataset, workload,
+                                     f"Execution time (ms) — {workload}")
+        for workload in OFFLINE_WORKLOADS}
     report.add_note("Expected shape: vertex-cut/hybrid fastest PageRank on "
                     "the skewed graph; algorithm gaps narrow for WCC/SSSP; "
                     "diminishing returns at high partition counts.")
@@ -165,31 +171,23 @@ def figure3(ctx: ExperimentContext | None = None,
 @requires(lambda profile: analytics_jobs(
     OFFLINE_DATASETS, OFFLINE_ALGORITHMS, [max(profile.offline_partitions)],
     ["pagerank"]))
-def figure4(ctx: ExperimentContext | None = None,
+def figure4(ctx: ExperimentContext,
             num_partitions: int | None = None) -> ExperimentReport:
     """Fig. 4: per-machine computation time distribution during PageRank."""
-    ctx = ctx or ExperimentContext()
     k = num_partitions or max(ctx.profile.offline_partitions)
     report = ExperimentReport(
         "figure4",
         f"Distribution of per-machine computation time, PageRank, {k} machines",
     )
-    data: dict[str, dict[str, dict]] = {}
-    for dataset in OFFLINE_DATASETS:
-        table = report.add_table(Table(
+    report.data["distributions"] = {
+        dataset: report.add_distributions(
             f"Computation time (ms) — {dataset}",
-            ["Algorithm", "Min", "p25", "Median", "p75", "Max", "Max/Mean"],
-        ))
-        data[dataset] = {}
-        for algorithm in OFFLINE_ALGORITHMS:
-            run = ctx.analytics_run(dataset, algorithm, k, "pagerank")
-            dist = summarize(run.compute_seconds_per_machine() * 1e3)
-            data[dataset][algorithm] = dist
-            table.add_row(algorithm.upper(), round(dist.minimum, 2),
-                          round(dist.p25, 2), round(dist.median, 2),
-                          round(dist.p75, 2), round(dist.maximum, 2),
-                          round(dist.max_over_mean, 2))
-    report.data["distributions"] = data
+            {algorithm: summarize(
+                ctx.analytics_run(dataset, algorithm, k, "pagerank")
+                .compute_seconds_per_machine() * 1e3)
+             for algorithm in OFFLINE_ALGORITHMS},
+            ("minimum", "p25", "median", "p75", "maximum"), 2)
+        for dataset in OFFLINE_DATASETS}
     report.add_note("Expected shape: edge-cut methods (LDG/FNL) show a much "
                     "larger spread than vertex-cut on the skewed graphs "
                     "(twitter/uk-web); on usa-road edge-cut is balanced.")
@@ -199,26 +197,18 @@ def figure4(ctx: ExperimentContext | None = None,
 @requires(lambda profile: analytics_jobs(
     OFFLINE_DATASETS, OFFLINE_ALGORITHMS, profile.offline_partitions,
     OFFLINE_WORKLOADS))
-def figure13(ctx: ExperimentContext | None = None) -> ExperimentReport:
+def figure13(ctx: ExperimentContext) -> ExperimentReport:
     """Fig. 13: the full offline grid (all datasets x workloads x k)."""
-    ctx = ctx or ExperimentContext()
     report = ExperimentReport(
         "figure13", "Execution time (ms) of all offline workloads on all graphs",
     )
     data: dict[tuple, dict[str, float]] = {}
     for dataset in OFFLINE_DATASETS:
         for workload in OFFLINE_WORKLOADS:
-            table = report.add_table(Table(
-                f"Execution time (ms) — {dataset} / {workload}",
-                ["Partitions", *[a.upper() for a in OFFLINE_ALGORITHMS]],
-            ))
-            for k in ctx.profile.offline_partitions:
-                row = {}
-                for algorithm in OFFLINE_ALGORITHMS:
-                    run = ctx.analytics_run(dataset, algorithm, k, workload)
-                    row[algorithm] = run.execution_seconds * 1e3
-                data[(dataset, workload, k)] = row
-                table.add_row(k, *[round(row[a], 2) for a in OFFLINE_ALGORITHMS])
+            grid = _execution_ms_grid(
+                report, ctx, dataset, workload,
+                f"Execution time (ms) — {dataset} / {workload}")
+            data.update({(dataset, workload, k): row for k, row in grid.items()})
     report.data["execution_ms"] = data
     report.add_note("Expected shape: LDG/FNL lowest execution times on "
                     "usa-road; vertex-cut/hybrid lowest on twitter/uk-web.")
@@ -231,10 +221,9 @@ def figure13(ctx: ExperimentContext | None = None) -> ExperimentReport:
 @requires(lambda profile: simulation_jobs(
     [ONLINE_DATASET], ONLINE_ALGORITHMS, profile.online_partitions,
     ["one_hop"], [MEDIUM_LOAD_CLIENTS]))
-def figure5(ctx: ExperimentContext | None = None,
+def figure5(ctx: ExperimentContext,
             dataset: str = ONLINE_DATASET) -> ExperimentReport:
     """Fig. 5: edge-cut ratio vs network I/O for the 1-hop workload."""
-    ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
     report = ExperimentReport(
         "figure5", f"Edge-cut ratio vs network I/O, 1-hop on {dataset}",
@@ -272,31 +261,24 @@ def figure5(ctx: ExperimentContext | None = None,
 @requires(lambda profile: simulation_jobs(
     [ONLINE_DATASET], ONLINE_ALGORITHMS, profile.online_partitions,
     ["one_hop", "two_hop"], [MEDIUM_LOAD_CLIENTS, HIGH_LOAD_CLIENTS]))
-def figure6(ctx: ExperimentContext | None = None,
+def figure6(ctx: ExperimentContext,
             dataset: str = ONLINE_DATASET) -> ExperimentReport:
     """Fig. 6: aggregate throughput, 1-hop & 2-hop, medium & high load."""
-    ctx = ctx or ExperimentContext()
     report = ExperimentReport(
         "figure6", f"Aggregate throughput on {dataset} under medium/high load",
     )
     data: dict[tuple, float] = {}
     for kind in ("one_hop", "two_hop"):
-        for label, clients in (("medium", MEDIUM_LOAD_CLIENTS),
-                               ("high", HIGH_LOAD_CLIENTS)):
-            table = report.add_table(Table(
-                f"Throughput (queries/s) — {kind}, {label} load",
-                ["Workers", *[a.upper() for a in ONLINE_ALGORITHMS]],
-            ))
-            for k in ctx.profile.online_partitions:
-                row = {}
-                for algorithm in ONLINE_ALGORITHMS:
-                    result = ctx.simulation(
-                        dataset, algorithm, k, kind,
-                        clients_per_worker=clients,
-                    )
-                    row[algorithm] = result.throughput
-                    data[(kind, label, k, algorithm)] = result.throughput
-                table.add_row(k, *[round(row[a]) for a in ONLINE_ALGORITHMS])
+        for label, clients in LOADS.items():
+            grid = report.add_grid(
+                f"Throughput (queries/s) — {kind}, {label} load", "Workers",
+                ctx.profile.online_partitions, ONLINE_ALGORITHMS,
+                lambda k, algorithm: ctx.simulation(
+                    dataset, algorithm, k, kind,
+                    clients_per_worker=clients).throughput)
+            data.update({(kind, label, k, algorithm): throughput
+                         for k, row in grid.items()
+                         for algorithm, throughput in row.items()})
     report.data["throughput"] = data
     report.add_note("Expected shape: MTS best (paper: ~25% over hashing on "
                     "1-hop); partitioning's impact far smaller than for "
@@ -307,34 +289,15 @@ def figure6(ctx: ExperimentContext | None = None,
 @requires(lambda profile: simulation_jobs(
     [ONLINE_DATASET], ONLINE_ALGORITHMS, [16], ["one_hop"],
     [MEDIUM_LOAD_CLIENTS]))
-def figure7(ctx: ExperimentContext | None = None,
-            dataset: str = ONLINE_DATASET,
+def figure7(ctx: ExperimentContext, dataset: str = ONLINE_DATASET,
             num_workers: int = 16) -> ExperimentReport:
     """Fig. 7: per-worker vertex reads during the 1-hop workload."""
-    ctx = ctx or ExperimentContext()
     report = ExperimentReport(
         "figure7",
         f"Vertex reads per worker, 1-hop on {dataset}, {num_workers} workers",
     )
-    table = report.add_table(Table(
-        "Reads per worker (thousands)",
-        ["Algorithm", "Min", "p25", "Median", "p75", "p95", "p99", "Max",
-         "Max/Mean"],
-    ))
-    data = {}
-    for algorithm in ONLINE_ALGORITHMS:
-        result = ctx.simulation(
-            dataset, algorithm, num_workers, "one_hop",
-            clients_per_worker=MEDIUM_LOAD_CLIENTS,
-        )
-        dist = summarize(result.read_distribution() / 1e3)
-        data[algorithm] = dist
-        table.add_row(algorithm.upper(), round(dist.minimum, 1),
-                      round(dist.p25, 1), round(dist.median, 1),
-                      round(dist.p75, 1), round(dist.p95, 1),
-                      round(dist.p99, 1), round(dist.maximum, 1),
-                      round(dist.max_over_mean, 2))
-    report.data["distributions"] = data
+    report.data["distributions"] = _read_distributions(
+        report, ctx, dataset, num_workers, "Reads per worker (thousands)")
     report.add_note("Expected shape: LDG/FNL spread >> ECR spread — the "
                     "workload-skew hotspots of Section 6.3.1.")
     return report
@@ -343,11 +306,9 @@ def figure7(ctx: ExperimentContext | None = None,
 @requires(lambda profile: simulation_jobs(
     [ONLINE_DATASET], ONLINE_ALGORITHMS, [16], ["one_hop"],
     [MEDIUM_LOAD_CLIENTS]))
-def figure8(ctx: ExperimentContext | None = None,
-            dataset: str = ONLINE_DATASET,
+def figure8(ctx: ExperimentContext, dataset: str = ONLINE_DATASET,
             num_workers: int = 16) -> ExperimentReport:
     """Fig. 8: workload-aware weighted partitioning (throughput + RSD)."""
-    ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
     planner = ctx.planner(dataset)
     bindings = ctx.bindings(dataset, "one_hop")
@@ -396,32 +357,20 @@ def figure8(ctx: ExperimentContext | None = None,
     job for k in profile.online_partitions
     for job in simulation_jobs([ONLINE_DATASET], ONLINE_ALGORITHMS, [k],
                                ["one_hop"], [max(1, TOTAL_CLIENTS // k)])])
-def figure12(ctx: ExperimentContext | None = None,
-             dataset: str = ONLINE_DATASET,
+def figure12(ctx: ExperimentContext, dataset: str = ONLINE_DATASET,
              total_clients: int = TOTAL_CLIENTS) -> ExperimentReport:
     """Fig. 12: fixed client population, growing cluster size."""
-    ctx = ctx or ExperimentContext()
     report = ExperimentReport(
         "figure12",
         f"Aggregate throughput of {total_clients} concurrent clients, "
         f"1-hop on {dataset}",
     )
-    table = report.add_table(Table(
-        "Throughput (queries/s)",
-        ["Workers", *[a.upper() for a in ONLINE_ALGORITHMS]],
-    ))
-    data: dict[int, dict[str, float]] = {}
-    for k in ctx.profile.online_partitions:
-        row = {}
-        for algorithm in ONLINE_ALGORITHMS:
-            result = ctx.simulation(
-                dataset, algorithm, k, "one_hop",
-                clients_per_worker=max(1, total_clients // k),
-            )
-            row[algorithm] = result.throughput
-        data[k] = row
-        table.add_row(k, *[round(row[a]) for a in ONLINE_ALGORITHMS])
-    report.data["throughput"] = data
+    report.data["throughput"] = report.add_grid(
+        "Throughput (queries/s)", "Workers",
+        ctx.profile.online_partitions, ONLINE_ALGORITHMS,
+        lambda k, algorithm: ctx.simulation(
+            dataset, algorithm, k, "one_hop",
+            clients_per_worker=max(1, total_clients // k)).throughput)
     report.add_note("Expected shape: throughput stops improving (and "
                     "degrades) beyond ~16 workers — communication overhead "
                     "dominates (Section 5.2.1).")
@@ -431,31 +380,24 @@ def figure12(ctx: ExperimentContext | None = None,
 @requires(lambda profile: simulation_jobs(
     OFFLINE_DATASETS, ONLINE_ALGORITHMS, [16], ["one_hop"],
     [MEDIUM_LOAD_CLIENTS, HIGH_LOAD_CLIENTS]))
-def figure14(ctx: ExperimentContext | None = None,
+def figure14(ctx: ExperimentContext,
              num_workers: int = 16) -> ExperimentReport:
     """Fig. 14: 1-hop throughput on the real-world-like graphs."""
-    ctx = ctx or ExperimentContext()
     report = ExperimentReport(
         "figure14",
         f"1-hop throughput on real-world-like graphs, {num_workers} workers",
     )
     data: dict[tuple, float] = {}
     for dataset in OFFLINE_DATASETS:
-        table = report.add_table(Table(
-            f"Throughput (queries/s) — {dataset}",
-            ["Load", *[a.upper() for a in ONLINE_ALGORITHMS]],
-        ))
-        for label, clients in (("medium", MEDIUM_LOAD_CLIENTS),
-                               ("high", HIGH_LOAD_CLIENTS)):
-            row = {}
-            for algorithm in ONLINE_ALGORITHMS:
-                result = ctx.simulation(
-                    dataset, algorithm, num_workers, "one_hop",
-                    clients_per_worker=clients,
-                )
-                row[algorithm] = result.throughput
-                data[(dataset, label, algorithm)] = result.throughput
-            table.add_row(label, *[round(row[a]) for a in ONLINE_ALGORITHMS])
+        grid = report.add_grid(
+            f"Throughput (queries/s) — {dataset}", "Load",
+            LOADS, ONLINE_ALGORITHMS,
+            lambda label, algorithm: ctx.simulation(
+                dataset, algorithm, num_workers, "one_hop",
+                clients_per_worker=LOADS[label]).throughput)
+        data.update({(dataset, label, algorithm): throughput
+                     for label, row in grid.items()
+                     for algorithm, throughput in row.items()})
     report.data["throughput"] = data
     return report
 
@@ -463,35 +405,18 @@ def figure14(ctx: ExperimentContext | None = None,
 @requires(lambda profile: simulation_jobs(
     OFFLINE_DATASETS, ONLINE_ALGORITHMS, [16], ["one_hop"],
     [MEDIUM_LOAD_CLIENTS]))
-def figure15(ctx: ExperimentContext | None = None,
+def figure15(ctx: ExperimentContext,
              num_workers: int = 16) -> ExperimentReport:
     """Fig. 15: per-worker read distributions on the real-world-like graphs."""
-    ctx = ctx or ExperimentContext()
     report = ExperimentReport(
         "figure15",
         f"Vertex reads per worker, 1-hop, {num_workers} workers, all graphs",
     )
-    data: dict[str, dict[str, object]] = {}
-    for dataset in OFFLINE_DATASETS:
-        table = report.add_table(Table(
-            f"Reads per worker (thousands) — {dataset}",
-            ["Algorithm", "Min", "p25", "Median", "p75", "p95", "p99",
-             "Max", "Max/Mean"],
-        ))
-        data[dataset] = {}
-        for algorithm in ONLINE_ALGORITHMS:
-            result = ctx.simulation(
-                dataset, algorithm, num_workers, "one_hop",
-                clients_per_worker=MEDIUM_LOAD_CLIENTS,
-            )
-            dist = summarize(result.read_distribution() / 1e3)
-            data[dataset][algorithm] = dist
-            table.add_row(algorithm.upper(), round(dist.minimum, 1),
-                          round(dist.p25, 1), round(dist.median, 1),
-                          round(dist.p75, 1), round(dist.p95, 1),
-                          round(dist.p99, 1), round(dist.maximum, 1),
-                          round(dist.max_over_mean, 2))
-    report.data["distributions"] = data
+    report.data["distributions"] = {
+        dataset: _read_distributions(
+            report, ctx, dataset, num_workers,
+            f"Reads per worker (thousands) — {dataset}")
+        for dataset in OFFLINE_DATASETS}
     report.add_note("Expected shape: FNL/LDG suffer load imbalance "
                     "regardless of graph characteristics (Section 6.3.1).")
     return report
@@ -503,9 +428,8 @@ def figure15(ctx: ExperimentContext | None = None,
 @requires(lambda profile: analytics_jobs(
     OFFLINE_DATASETS, STREAMING_ALGORITHMS, [_mid_cluster(profile)],
     ["pagerank"]))
-def figure9(ctx: ExperimentContext | None = None) -> ExperimentReport:
+def figure9(ctx: ExperimentContext) -> ExperimentReport:
     """Fig. 9: decision-tree recommendations vs measured winners."""
-    ctx = ctx or ExperimentContext()
     report = ExperimentReport(
         "figure9", "Decision tree for picking an SGP algorithm",
     )

@@ -22,36 +22,48 @@ from repro.service.core import PartitionedGraphService
 #: epoch are derived inside the service).
 SERVICE_SEED = 7
 
+#: Epochs per service run — long enough for slo-ablation's slow-window
+#: burn rates to mean something, short enough for the quick CI scale.
+EPOCHS = 12
 
-def _service_config(num_vertices: int, *, budget: int | None) -> ServiceConfig:
-    """One policy variant, with traffic scaled to the graph size."""
+
+def scenario_config(num_vertices: int, seed: int,
+                    **overrides) -> ServiceConfig:
+    """The service scenario online-service and slo-ablation both run.
+
+    Traffic scales with the graph size, the apply rate matches the
+    offered mutations, and drift triggers migration under a generous
+    budget; *overrides* replace any :class:`ServiceConfig` field.
+    """
     mutations = max(200, (num_vertices * 3) // 10)
-    return ServiceConfig(
+    settings = dict(
         num_partitions=8,
-        epochs=12,
+        epochs=EPOCHS,
         epoch_duration=0.2,
-        seed=SERVICE_SEED,
+        seed=seed,
         mutations_per_epoch=mutations,
         query_bindings_per_epoch=40,
-        drift_threshold=None if budget is None else 0.015,
-        migration_budget=budget or 0,
+        drift_threshold=0.015,
+        migration_budget=max(256, num_vertices // 4),
         mutation_queue_bound=mutations * 2,
         mutation_service_rate=mutations,
     )
+    settings.update(overrides)
+    return ServiceConfig(**settings)
 
 
 # The service derives everything else (partitions, traffic, simulations)
 # from its own seeds; only the base graph is a plannable artifact.
 @requires(lambda profile: dataset_jobs(ONLINE_DATASET))
-def online_service(ctx: ExperimentContext | None = None,
+def online_service(ctx: ExperimentContext,
                    dataset: str = ONLINE_DATASET) -> ExperimentReport:
     """Drift -> bounded migration -> recovery, across budget policies."""
-    ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
-    budgets: tuple[tuple[str, int | None], ...] = (
-        ("no migration", None),
-        ("tight budget", max(64, graph.num_vertices // 16)),
-        ("generous budget", max(256, graph.num_vertices // 4)),
+    # The scenario's own budget is the generous one.
+    policies = (
+        ("no migration", {"drift_threshold": None, "migration_budget": 0}),
+        ("tight budget", {"migration_budget": max(64, graph.num_vertices // 16)}),
+        ("generous budget", {}),
     )
 
     report = ExperimentReport(
@@ -65,14 +77,14 @@ def online_service(ctx: ExperimentContext | None = None,
          "ShedWrites", "ShedReads", "Failed"],
     ))
     data = {}
-    for label, budget in budgets:
-        config = _service_config(graph.num_vertices, budget=budget)
+    for label, overrides in policies:
+        config = scenario_config(graph.num_vertices, SERVICE_SEED, **overrides)
         result = PartitionedGraphService(graph, config=config).run()
         final = result.drift[-1]
         p99 = max((record.p99_latency_ms for record in result.epochs),
                   default=0.0)
         data[label] = {
-            "budget": 0 if budget is None else budget,
+            "budget": config.migration_budget,
             "migrations": len(result.migrations),
             "vertices_migrated": result.vertices_migrated,
             "final_edge_cut": final.edge_cut,

@@ -5,6 +5,10 @@ containing one or more :class:`Table` objects — the textual equivalent of
 the paper's tables and figure panels — plus free-form notes stating which
 paper-shape checks the run satisfies.  ``render()`` produces the exact
 text the CLI and the benchmark harness print.
+
+The two recurring shapes have one builder each: a metric per key and
+algorithm (:meth:`ExperimentReport.add_grid`: Table 4, Figs. 2, 3, 6,
+12–14) and a box line per algorithm (``add_distributions``: Figs. 4, 7, 15).
 """
 
 from __future__ import annotations
@@ -43,6 +47,12 @@ class Table:
         return "\n".join(lines)
 
 
+#: Column header of each :class:`~repro.metrics.DistributionSummary`
+#: field a box-line table can show.
+_BOX_HEADERS = {"minimum": "Min", "p25": "p25", "median": "Median",
+                "p75": "p75", "p95": "p95", "p99": "p99", "maximum": "Max"}
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         if value == 0:
@@ -74,6 +84,41 @@ class ExperimentReport:
     def add_table(self, table: Table) -> Table:
         self.tables.append(table)
         return table
+
+    def add_grid(self, title: str, label: str, keys, algorithms, cell,
+                 digits: int | None = None) -> dict:
+        """Add a table with a row per key and a column per algorithm.
+
+        ``cell(key, algorithm)`` gives each value; the table shows it as
+        ``round(value, digits)`` (``None``: an int).  Returns the
+        unrounded ``{key: {algorithm: value}}``, filled row by row.
+        """
+        table = self.add_table(Table(
+            title, [label, *[a.upper() for a in algorithms]]))
+        grid = {}
+        for key in keys:
+            row = {algorithm: cell(key, algorithm) for algorithm in algorithms}
+            grid[key] = row
+            table.add_row(key, *[round(row[a], digits) for a in algorithms])
+        return grid
+
+    def add_distributions(self, title: str, summaries: dict, columns,
+                          digits: int) -> dict:
+        """Add a box-line table: one row per algorithm's summary.
+
+        *summaries* maps algorithm to
+        :class:`~repro.metrics.DistributionSummary`; *columns* names the
+        fields shown, each rounded to *digits*, before Max/Mean (always
+        2 digits).  Returns *summaries*.
+        """
+        table = self.add_table(Table(
+            title,
+            ["Algorithm", *[_BOX_HEADERS[c] for c in columns], "Max/Mean"]))
+        for algorithm, dist in summaries.items():
+            table.add_row(algorithm.upper(),
+                          *[round(getattr(dist, c), digits) for c in columns],
+                          round(dist.max_over_mean, 2))
+        return summaries
 
     def add_note(self, note: str) -> None:
         self.notes.append(note)

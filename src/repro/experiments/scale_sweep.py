@@ -50,9 +50,8 @@ def _stream_spec(profile_name: str) -> dict:
 # Every ingest spills its own synthetic stream and is computed inside the
 # experiment job (through the cache); nothing is plannable up front.
 @requires(lambda profile: [])
-def scale_sweep(ctx: ExperimentContext | None = None) -> ExperimentReport:
+def scale_sweep(ctx: ExperimentContext) -> ExperimentReport:
     """Shards × sync-interval × degree-state quality/memory surface."""
-    ctx = ctx or ExperimentContext()
     stream = _stream_spec(ctx.profile.name)
 
     report = ExperimentReport(

@@ -26,41 +26,19 @@ from __future__ import annotations
 
 from repro.experiments.report import ExperimentReport, Table
 from repro.experiments.datasets import ONLINE_DATASET
+from repro.experiments.online_service import EPOCHS, scenario_config
 from repro.experiments.runner import ExperimentContext, dataset_jobs, requires
-from repro.service.config import ServiceConfig
 from repro.service.core import PartitionedGraphService
 from repro.telemetry.slo import default_service_slos
 
 #: Seed for every service run in this experiment.
 SERVICE_SEED = 11
 
-#: Epochs per run — long enough for slow-window burn rates to mean
-#: something, short enough for the quick CI scale.
-EPOCHS = 12
-
-
-def _base_config(num_vertices: int, **overrides) -> ServiceConfig:
-    """The nominal policy, traffic scaled to the graph size."""
-    mutations = max(200, (num_vertices * 3) // 10)
-    settings = dict(
-        num_partitions=8,
-        epochs=EPOCHS,
-        epoch_duration=0.2,
-        seed=SERVICE_SEED,
-        mutations_per_epoch=mutations,
-        query_bindings_per_epoch=40,
-        drift_threshold=0.015,
-        migration_budget=max(256, num_vertices // 4),
-        mutation_queue_bound=mutations * 2,
-        mutation_service_rate=mutations,
-    )
-    settings.update(overrides)
-    return ServiceConfig(**settings)
-
 
 def _variants(num_vertices: int):
     """(label, config) policy variants, in report order."""
-    mutations = max(200, (num_vertices * 3) // 10)
+    nominal = scenario_config(num_vertices, SERVICE_SEED)
+    starved_rate = max(1, nominal.mutation_service_rate // 2)
     # Query latency grows with graph size (deeper khop frontiers), so
     # the latency objective scales with the scenario: nominal holds it
     # with headroom at every scale profile.
@@ -70,27 +48,24 @@ def _variants(num_vertices: int):
     # enough that unrepaired decay breaches it inside the horizon.
     tight_drift = default_service_slos(p99_latency_ms=p99_bound,
                                        drift_bound=0.01)
-    return (
-        ("nominal", _base_config(num_vertices, slos=slos)),
+    variants = (
+        ("nominal", {"slos": slos}),
         ("starved rate",
-         _base_config(num_vertices, slos=slos,
-                      mutation_service_rate=max(1, mutations // 2))),
-        ("no migration",
-         _base_config(num_vertices, drift_threshold=None,
-                      slos=tight_drift)),
+         {"slos": slos, "mutation_service_rate": starved_rate}),
+        ("no migration", {"drift_threshold": None, "slos": tight_drift}),
         ("degradation on",
-         _base_config(num_vertices, slos=slos,
-                      mutation_service_rate=max(1, mutations // 2),
-                      slo_degradation=True)),
+         {"slos": slos, "mutation_service_rate": starved_rate,
+          "slo_degradation": True}),
     )
+    return [(label, scenario_config(num_vertices, SERVICE_SEED, **overrides))
+            for label, overrides in variants]
 
 
 # Like online-service, only the base graph is a plannable artifact.
 @requires(lambda profile: dataset_jobs(ONLINE_DATASET))
-def slo_ablation(ctx: ExperimentContext | None = None,
+def slo_ablation(ctx: ExperimentContext,
                  dataset: str = ONLINE_DATASET) -> ExperimentReport:
     """Run the policy sweep and report SLO breaches per configuration."""
-    ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
 
     report = ExperimentReport(

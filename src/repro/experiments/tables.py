@@ -18,9 +18,8 @@ from repro.partitioning import ONLINE_ALGORITHMS
 
 
 @requires(lambda profile: dataset_jobs(*DATASETS))
-def table3(ctx: ExperimentContext | None = None) -> ExperimentReport:
+def table3(ctx: ExperimentContext) -> ExperimentReport:
     """Table 3: characteristics of the graph datasets."""
-    ctx = ctx or ExperimentContext()
     report = ExperimentReport(
         "table3", "Graph datasets used in experiments (scaled substitutes)",
     )
@@ -45,27 +44,19 @@ def table3(ctx: ExperimentContext | None = None) -> ExperimentReport:
 
 @requires(lambda profile: partition_jobs(
     [ONLINE_DATASET], ONLINE_ALGORITHMS, profile.online_partitions))
-def table4(ctx: ExperimentContext | None = None,
+def table4(ctx: ExperimentContext,
            dataset: str = ONLINE_DATASET) -> ExperimentReport:
     """Table 4: edge-cut ratio on the LDBC SNB graph for 4–32 partitions."""
-    ctx = ctx or ExperimentContext()
     graph = ctx.graph(dataset)
     report = ExperimentReport(
         "table4", f"Edge-cut ratio for {dataset} graph",
     )
-    table = report.add_table(Table(
-        "Edge-cut ratio (lower is better)",
-        ["Partitions", *[a.upper() for a in ONLINE_ALGORITHMS]],
-    ))
-    data: dict[int, dict[str, float]] = {}
-    for k in ctx.profile.online_partitions:
-        row = {}
-        for algorithm in ONLINE_ALGORITHMS:
-            partition = ctx.online_partition(dataset, algorithm, k)
-            row[algorithm] = edge_cut_ratio(graph, partition)
-        data[k] = row
-        table.add_row(k, *[round(row[a], 3) for a in ONLINE_ALGORITHMS])
-    report.data["cut_ratios"] = data
+    report.data["cut_ratios"] = report.add_grid(
+        "Edge-cut ratio (lower is better)", "Partitions",
+        ctx.profile.online_partitions, ONLINE_ALGORITHMS,
+        lambda k, algorithm: edge_cut_ratio(
+            graph, ctx.online_partition(dataset, algorithm, k)),
+        digits=3)
     report.add_note("Expected shape: ECR ≈ 1 - 1/k; FNL between LDG and "
                     "MTS; MTS lowest (paper Table 4).")
     return report
@@ -74,11 +65,9 @@ def table4(ctx: ExperimentContext | None = None,
 @requires(lambda profile: simulation_jobs(
     [ONLINE_DATASET], ONLINE_ALGORITHMS, [16], ["one_hop"],
     [MEDIUM_LOAD_CLIENTS, HIGH_LOAD_CLIENTS]))
-def table5(ctx: ExperimentContext | None = None,
-           dataset: str = ONLINE_DATASET,
+def table5(ctx: ExperimentContext, dataset: str = ONLINE_DATASET,
            num_workers: int = 16) -> ExperimentReport:
     """Table 5: mean and tail latency of the 1-hop workload, 16 workers."""
-    ctx = ctx or ExperimentContext()
     report = ExperimentReport(
         "table5",
         f"Mean and 99th-percentile latency (ms), 1-hop on {dataset}, "

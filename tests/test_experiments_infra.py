@@ -1,9 +1,19 @@
 """Tests for the experiment infrastructure: datasets, report, runner, CLI."""
 
+import importlib
+import inspect
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import ExperimentContext, ExperimentReport, Table
+from repro.experiments import (
+    EXPERIMENTS,
+    ExperimentContext,
+    ExperimentReport,
+    Table,
+)
+from repro.experiments.online_service import scenario_config
 from repro.experiments.runner import PARTITION_SEED
 from repro.experiments.cli import main as cli_main
 from repro.experiments.datasets import (
@@ -86,6 +96,69 @@ class TestReport:
         table = Table("T", ["A"])
         table.add_row(0.123456)
         assert "0.123" in table.render()
+
+    def test_add_grid_rounds_cells_and_returns_them_unrounded(self):
+        report = ExperimentReport("x1", "Title")
+        grid = report.add_grid(
+            "G", "Partitions", [4, 8], ["ecr", "mts"],
+            lambda k, algorithm: k / 3 if algorithm == "ecr" else k * 1.5,
+            digits=2)
+        assert grid == {4: {"ecr": 4 / 3, "mts": 6.0},
+                        8: {"ecr": 8 / 3, "mts": 12.0}}
+        table = report.tables[0]
+        assert table.headers == ["Partitions", "ECR", "MTS"]
+        assert table.rows == [[4, 1.33, 6.0], [8, 2.67, 12.0]]
+
+    def test_add_grid_without_digits_prints_ints(self):
+        report = ExperimentReport("x1", "Title")
+        report.add_grid("G", "Load", {"medium": 12, "high": 24}, ["ldg"],
+                        lambda label, algorithm: 2.6)
+        rows = report.tables[0].rows
+        assert rows == [["medium", 3], ["high", 3]]
+        assert all(type(row[1]) is int for row in rows)
+
+    def test_add_distributions_adds_one_box_line_per_algorithm(self):
+        from repro.metrics import summarize
+
+        report = ExperimentReport("x1", "Title")
+        summaries = {"ecr": summarize(np.array([1.0, 2.0, 3.0, 10.0])),
+                     "ldg": summarize(np.array([4.0, 4.0]))}
+        assert report.add_distributions(
+            "D", summaries, ("minimum", "median", "maximum"), 1) is summaries
+        table = report.tables[0]
+        assert table.headers == ["Algorithm", "Min", "Median", "Max",
+                                 "Max/Mean"]
+        ecr = summaries["ecr"]
+        assert table.rows == [
+            ["ECR", 1.0, 2.5, 10.0, round(ecr.max_over_mean, 2)],
+            ["LDG", 4.0, 4.0, 4.0, 1.0],
+        ]
+
+
+class TestExperimentRegistry:
+    def test_every_experiment_requires_a_context(self):
+        # The caller's context owns the caches; no experiment makes its own.
+        defaulted = [
+            name for name, experiment in EXPERIMENTS.items()
+            if inspect.signature(experiment).parameters["ctx"].default
+            is not inspect.Parameter.empty]
+        assert defaulted == []
+
+    def test_entries_are_plain_functions(self):
+        # The traced benchmark run wraps each entry by name.
+        assert len(EXPERIMENTS) == 29
+        assert all(inspect.isfunction(e) for e in EXPERIMENTS.values())
+
+    def test_service_scenario_overrides_replace_fields(self):
+        nominal = scenario_config(4_000, 7)
+        assert nominal.mutations_per_epoch == 1_200
+        assert nominal.mutation_service_rate == 1_200
+        assert nominal.migration_budget == 1_000
+        frozen = scenario_config(4_000, 11, drift_threshold=None,
+                                 migration_budget=0)
+        assert (frozen.seed, frozen.drift_threshold,
+                frozen.migration_budget) == (11, None, 0)
+        assert frozen.mutations_per_epoch == nominal.mutations_per_epoch
 
 
 class TestRunner:
@@ -311,3 +384,19 @@ class TestCli:
     def test_run_all_unknown_experiment(self, capsys):
         assert cli_main(["run-all", "figure99"]) == 2
         assert "\n  table4\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, module", [
+        ("trace", "repro.tools.trace_cli"),
+        ("lint", "repro.tools.lint.cli"),
+        ("sanitize", "repro.tools.sanitize"),
+        ("serve-sim", "repro.service.cli"),
+        ("health", "repro.tools.health_cli"),
+        ("ingest", "repro.tools.ingest_cli"),
+    ])
+    def test_delegated_subcommands_reach_their_tool(self, monkeypatch,
+                                                    command, module):
+        seen = []
+        monkeypatch.setattr(importlib.import_module(module), "main",
+                            lambda argv: seen.append(argv) or 5)
+        assert cli_main([command, "a", "--b"]) == 5
+        assert seen == [["a", "--b"]]
