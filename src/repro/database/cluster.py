@@ -16,11 +16,12 @@ comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.partitioning.base import check_finite_at_least
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,11 @@ class ServiceModel:
     #: finding that performance "significantly degrades even on 32
     #: partitions" (Fig. 12 / Section 5.2.1).
     cluster_overhead_per_worker: float = 0.03
+
+    def __post_init__(self):
+        # Every constant is a finite duration or rate, at least 0.
+        for spec in fields(self):
+            check_finite_at_least(spec.name, getattr(self, spec.name), 0)
 
     def service_seconds(self, num_reads: int) -> float:
         """Server occupancy of a request reading *num_reads* records."""
@@ -112,8 +118,8 @@ class Worker:
 
     def __init__(self, worker_id: int, model: ServiceModel,
                  speed: float = 1.0):
-        if speed <= 0:
-            raise ConfigurationError("worker speed must be positive")
+        check_finite_at_least(f"worker {worker_id} speed", speed, 0,
+                              strict=True)
         self.worker_id = worker_id
         self.model = model
         self.speed = speed

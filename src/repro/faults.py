@@ -38,10 +38,16 @@ The subsystem has four pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.errors import FaultInjectionError
+from repro.partitioning.base import check_finite_at_least
+
+#: Bound checks of this module raise its own error type.
+_check_finite_at_least = partial(check_finite_at_least,
+                                 error=FaultInjectionError)
 
 __all__ = [
     "CrashInterval",
@@ -131,8 +137,7 @@ class SlowdownInterval:
         if not self.start < self.end:
             raise FaultInjectionError(
                 f"slowdown interval needs start < end, got [{self.start}, {self.end})")
-        if self.factor <= 0:
-            raise FaultInjectionError("slowdown factor must be positive")
+        _check_finite_at_least("slowdown factor", self.factor, 0, strict=True)
 
     def covers(self, time: float) -> bool:
         return self.start <= time < self.end
@@ -174,8 +179,8 @@ class FaultSchedule:
         if not 0.0 <= self.drop_probability < 1.0:
             raise FaultInjectionError(
                 f"drop_probability must be in [0, 1), got {self.drop_probability}")
-        if self.extra_latency_seconds < 0:
-            raise FaultInjectionError("extra_latency_seconds must be >= 0")
+        _check_finite_at_least("extra_latency_seconds",
+                               self.extra_latency_seconds, 0)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -288,14 +293,13 @@ class RetryPolicy:
     jitter_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.timeout_seconds <= 0:
-            raise FaultInjectionError("timeout_seconds must be positive")
+        _check_finite_at_least("timeout_seconds", self.timeout_seconds, 0,
+                               strict=True)
         if self.max_retries < 0:
             raise FaultInjectionError("max_retries must be >= 0")
-        if self.backoff_base_seconds < 0:
-            raise FaultInjectionError("backoff_base_seconds must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise FaultInjectionError("backoff_factor must be >= 1")
+        _check_finite_at_least("backoff_base_seconds",
+                               self.backoff_base_seconds, 0)
+        _check_finite_at_least("backoff_factor", self.backoff_factor, 1)
         if not 0.0 <= self.jitter_fraction <= 1.0:
             raise FaultInjectionError("jitter_fraction must be in [0, 1]")
 

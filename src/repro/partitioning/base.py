@@ -24,7 +24,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from repro.errors import ConfigurationError, PartitioningError
+from repro.errors import ConfigurationError, PartitioningError, ReproError
 from repro.graph.digraph import Graph
 from repro.graph.stream import EdgeStream, VertexStream
 
@@ -39,8 +39,9 @@ def check_num_partitions(k: Any) -> int:
 
 
 def check_finite_at_least(name: str, value: Any, minimum: float, *,
-                          strict: bool = False) -> None:
-    """Reject *value* unless it is a finite number ``>= minimum``
+                          strict: bool = False,
+                          error: type[ReproError] = ConfigurationError) -> None:
+    """Raise *error* unless *value* is a finite number ``>= minimum``
     (``> minimum`` when *strict*), naming the parameter and the value.
 
     NaN fails every comparison, so a bare ``value < minimum`` guard lets
@@ -49,7 +50,7 @@ def check_finite_at_least(name: str, value: Any, minimum: float, *,
     if not (math.isfinite(value)
             and (value > minimum if strict else value >= minimum)):
         bound = ">" if strict else ">="
-        raise ConfigurationError(
+        raise error(
             f"{name} must be a finite number {bound} {minimum}, "
             f"got {value!r}")
 

@@ -1,10 +1,14 @@
 """Tests for repro.database.cluster: workers and ownership."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.database import Cluster, ServiceModel
 from repro.errors import ConfigurationError
+
+NAN, INF = float("nan"), float("inf")
 
 
 class TestCluster:
@@ -43,3 +47,23 @@ class TestCluster:
     def test_default_model_used(self):
         cluster = Cluster(2, np.zeros(2, dtype=np.int64))
         assert cluster.model.request_base_seconds > 0
+
+    @pytest.mark.parametrize("speed", [NAN, INF, 0.0, -1.0])
+    def test_bad_worker_speed_rejected(self, speed):
+        # A NaN speed used to fail inside the simulator's event heap.
+        with pytest.raises(ConfigurationError, match="worker 0 speed"):
+            Cluster(4, np.zeros(4, dtype=np.int64),
+                    worker_speeds=[speed, 1, 1, 1])
+
+
+class TestServiceModel:
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(ServiceModel)])
+    @pytest.mark.parametrize("value", [NAN, INF, -1.0])
+    def test_every_field_finite_and_non_negative(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ServiceModel(**{field: value})
+
+    def test_zero_is_a_valid_constant(self):
+        model = ServiceModel(think_seconds=0.0, network_rtt_seconds=0.0)
+        assert model.scaled(4).think_seconds == 0.0

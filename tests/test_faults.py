@@ -23,6 +23,7 @@ from repro.rng import splitmix64
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
+NAN, INF = float("nan"), float("inf")
 
 
 def _numpy_uniform(seed, *labels):
@@ -110,6 +111,16 @@ class TestIntervals:
         with pytest.raises(FaultInjectionError):
             SlowdownInterval(worker=0, start=1.0, end=0.5, factor=0.5)
 
+    @pytest.mark.parametrize("factor", [NAN, INF])
+    def test_non_finite_slowdown_factor_rejected(self, factor):
+        # A NaN factor used to reach the simulator's event heap and fail
+        # there with a TypeError comparing two query states.
+        with pytest.raises(FaultInjectionError, match="slowdown factor"):
+            SlowdownInterval(worker=0, start=0.0, end=0.5, factor=factor)
+
+    def test_permanent_crash_end_stays_valid(self):
+        assert CrashInterval(worker=0, start=0.0, end=INF).covers(1e12)
+
 
 class TestFaultSchedule:
     def test_empty_schedule(self):
@@ -169,6 +180,12 @@ class TestFaultSchedule:
         with pytest.raises(FaultInjectionError):
             FaultSchedule(extra_latency_seconds=-1e-3)
 
+    @pytest.mark.parametrize("extra", [NAN, INF])
+    def test_non_finite_extra_latency_rejected(self, extra):
+        with pytest.raises(FaultInjectionError,
+                           match="extra_latency_seconds"):
+            FaultSchedule(extra_latency_seconds=extra)
+
     def test_should_drop_deterministic_and_calibrated(self):
         schedule = FaultSchedule(drop_probability=0.2, seed=7)
         draws = [schedule.should_drop(i) for i in range(5000)]
@@ -207,6 +224,16 @@ class TestRetryPolicy:
             RetryPolicy(backoff_factor=0.5)
         with pytest.raises(FaultInjectionError):
             RetryPolicy(jitter_fraction=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("timeout_seconds", NAN), ("timeout_seconds", INF),
+        ("backoff_base_seconds", NAN), ("backoff_base_seconds", INF),
+        ("backoff_factor", NAN), ("backoff_factor", INF),
+    ])
+    def test_non_finite_timing_rejected(self, field, value):
+        # A NaN timeout used to count no dropped request as failed.
+        with pytest.raises(FaultInjectionError, match=field):
+            RetryPolicy(**{field: value})
 
     def test_backoff_grows_exponentially(self):
         policy = RetryPolicy(backoff_base_seconds=1e-3, backoff_factor=2.0,
