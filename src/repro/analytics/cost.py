@@ -11,7 +11,9 @@ figures depends only on ratios, which the counts determine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+from repro.partitioning.base import check_finite_at_least
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,13 @@ class CostModel:
     #: … and per edge stored on the failed machine (edges are re-read
     #: from the replicas' adjacency data).
     bytes_per_edge_state: float = 16.0
+
+    def __post_init__(self):
+        # Every constant is finite and at least 0; bandwidth divides.
+        for spec in fields(self):
+            check_finite_at_least(
+                spec.name, getattr(self, spec.name), 0,
+                strict=spec.name == "bandwidth_bytes_per_sec")
 
     def recovery_bytes(self, lost_vertices: int, lost_edges: int) -> float:
         """Bytes migrated to re-home a failed machine's graph state."""

@@ -1,5 +1,7 @@
 """Tests for the GAS engine's communication and cost accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from repro.analytics import (
     WeaklyConnectedComponents,
     run_workload,
 )
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.graph import Graph
 from repro.partitioning import (
     HashEdgePartitioner,
@@ -160,6 +162,29 @@ class TestCostModel:
         vp = HashVertexPartitioner().partition(small_twitter, 4)
         run = run_workload(small_twitter, vp, PageRank(3), cost_model=model)
         assert run.execution_seconds >= 3.0
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(CostModel)])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_every_constant_finite_and_non_negative(self, field, value):
+        # NaN constants used to report a NaN execution time, and a
+        # negative barrier a negative one.
+        with pytest.raises(ConfigurationError, match=field):
+            CostModel(**{field: value})
+
+    def test_zero_bandwidth_rejected(self):
+        # It used to divide by zero in the middle of a run.
+        with pytest.raises(ConfigurationError,
+                           match="bandwidth_bytes_per_sec"):
+            CostModel(bandwidth_bytes_per_sec=0.0)
+
+    def test_repr_unchanged(self):
+        # The repr keys every cached analytics artifact.
+        assert repr(CostModel()) == (
+            "CostModel(seconds_per_edge=2e-08, seconds_per_vertex_op=5e-08, "
+            "bytes_per_message=32.0, bandwidth_bytes_per_sec=250000000.0, "
+            "barrier_seconds=5e-05, checkpoint_seconds=0.0002, "
+            "bytes_per_vertex_state=64.0, bytes_per_edge_state=16.0)")
 
 
 class TestRunRecord:
