@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.partitioning.base import UNASSIGNED
+from repro.partitioning.base import UNASSIGNED, check_finite_at_least
 from repro.partitioning.drivers import (
     RevisitingEdgeCutPartitioner,
     RevisitState,
@@ -67,12 +67,10 @@ class LeopardPartitioner(RevisitingEdgeCutPartitioner):
                  replication_fraction: float = 0.3,
                  max_replicas: int = 3, hash_seed: int = 0):
         super().__init__(balance_slack, hash_seed)
-        if reassignment_gain < 1.0:
-            raise ConfigurationError("reassignment_gain must be >= 1")
+        check_finite_at_least("reassignment_gain", reassignment_gain, 1)
         if not 0.0 < replication_fraction <= 1.0:
             raise ConfigurationError("replication_fraction must be in (0, 1]")
-        if max_replicas < 1:
-            raise ConfigurationError("max_replicas must be >= 1")
+        check_finite_at_least("max_replicas", max_replicas, 1)
         self.reassignment_gain = reassignment_gain
         self.replication_fraction = replication_fraction
         self.max_replicas = max_replicas

@@ -63,7 +63,7 @@ def traversal_weights_from_plans(graph: Graph, plans) -> np.ndarray:
 def inter_partition_traversals(graph: Graph, partition: VertexPartition,
                                edge_weights) -> float:
     """TAPER's objective: traversal weight crossing partition boundaries."""
-    weights = np.asarray(edge_weights, dtype=np.float64)
+    weights = check_finite_entries("edge weight", edge_weights)
     if weights.shape != (graph.num_edges,):
         raise ConfigurationError("edge_weights must have one entry per edge")
     assignment = partition.assignment

@@ -98,3 +98,11 @@ class TestLeopardValidation:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ConfigurationError):
             LeopardPartitioner(**kwargs)
+
+    @pytest.mark.parametrize("name", ["reassignment_gain", "max_replicas"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_bounds_rejected(self, name, value):
+        # NaN passed the old `< 1` checks: a NaN gain moved on every
+        # better score and a NaN cap kept every copy.
+        with pytest.raises(ConfigurationError, match=name):
+            LeopardPartitioner(**{name: value})

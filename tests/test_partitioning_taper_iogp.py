@@ -66,6 +66,16 @@ class TestTaperObjective:
         with pytest.raises(ConfigurationError):
             inter_partition_traversals(tiny_graph, partition, [1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
+    def test_bad_cut_weight_rejected(self, tiny_graph, bad):
+        # Edge 1 is cut: a NaN there read as a NaN objective and -5 as a
+        # smaller one.
+        partition = VertexPartition(2, [0, 0, 1, 1, 1, 1])
+        weights = np.ones(tiny_graph.num_edges)
+        weights[1] = bad
+        with pytest.raises(ConfigurationError, match="edge weight 1"):
+            inter_partition_traversals(tiny_graph, partition, weights)
+
 
 class TestTaperRefine:
     def test_objective_never_worse(self, query_setup):
