@@ -45,7 +45,8 @@ class IncrementalEdgeCutPartitioner:
     ----------
     base:
         The current :class:`VertexPartition` (its assignment array is not
-        modified; placements accumulate in a copy).
+        modified; placements accumulate in a copy, a buffer that doubles
+        when full, so each arrival costs amortised O(1)).
     balance_slack:
         β of the running capacity: each :meth:`add_vertex` caps a
         partition at ``ceil(β·(placed + 1)/k)``, where ``placed`` counts
@@ -60,12 +61,14 @@ class IncrementalEdgeCutPartitioner:
         self.num_partitions = base.num_partitions
         self.balance_slack = balance_slack
         self.seed = seed
-        self._assignment = base.assignment.copy()
+        self._buffer = base.assignment.copy()
+        self._placed = self._buffer.size
         self._sizes = base.sizes().astype(np.int64)
 
     @property
     def assignment(self) -> np.ndarray:
-        return self._assignment
+        """Every placed vertex's partition: a view of the buffer's prefix."""
+        return self._buffer[:self._placed]
 
     def add_vertex(self, neighbors, rng=None) -> int:
         """Place one new vertex given its (already-placed) neighbours.
@@ -85,10 +88,15 @@ class IncrementalEdgeCutPartitioner:
             # silently score against an arbitrary vertex's partition.
             raise PartitioningError(
                 f"neighbor ids must be >= 0, got {int(neighbors.min())}")
-        in_range = neighbors[neighbors < self._assignment.size]
-        target = _ldg_target(self._assignment[in_range], self._sizes,
+        in_range = neighbors[neighbors < self._placed]
+        target = _ldg_target(self.assignment[in_range], self._sizes,
                              capacity, rng)
-        self._assignment = np.append(self._assignment, np.int32(target))
+        if self._placed == self._buffer.size:
+            grown = np.empty(max(1, 2 * self._placed), self._buffer.dtype)
+            grown[:self._placed] = self._buffer
+            self._buffer = grown
+        self._buffer[self._placed] = target
+        self._placed += 1
         self._sizes[target] += 1
         return target
 
@@ -99,9 +107,9 @@ class IncrementalEdgeCutPartitioner:
         graph whose vertex count diverged from the placement state would
         otherwise mis-index silently.
         """
-        if self._assignment.size != graph.num_vertices:
+        if self._placed != graph.num_vertices:
             raise PartitioningError(
-                f"assignment covers {self._assignment.size} vertices but "
+                f"assignment covers {self._placed} vertices but "
                 f"graph {graph.name!r} has {graph.num_vertices}; place new "
                 f"arrivals with add_vertex() before refining")
 
@@ -118,22 +126,22 @@ class IncrementalEdgeCutPartitioner:
             raise ConfigurationError("vertices and targets must align")
         if vertices.size == 0:
             return
-        if int(vertices.min()) < 0 or \
-                int(vertices.max()) >= self._assignment.size:
+        if int(vertices.min()) < 0 or int(vertices.max()) >= self._placed:
             raise PartitioningError(
                 f"move targets vertices outside the assignment "
-                f"(size {self._assignment.size})")
+                f"(size {self._placed})")
         if int(targets.min()) < 0 or int(targets.max()) >= self.num_partitions:
             raise ConfigurationError(
                 f"target partitions must be in [0, {self.num_partitions})")
-        old = self._assignment[vertices].astype(np.int64)
+        assignment = self.assignment
+        old = assignment[vertices].astype(np.int64)
         self._sizes -= np.bincount(old, minlength=self.num_partitions)
         self._sizes += np.bincount(targets, minlength=self.num_partitions)
-        self._assignment[vertices] = targets.astype(np.int32)
+        assignment[vertices] = targets.astype(np.int32)
 
     def to_partition(self, algorithm: str = "ldg-incr") -> VertexPartition:
         """Snapshot the accumulated assignment."""
-        return VertexPartition(self.num_partitions, self._assignment.copy(),
+        return VertexPartition(self.num_partitions, self.assignment.copy(),
                                algorithm=algorithm)
 
 

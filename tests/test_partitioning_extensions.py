@@ -234,6 +234,21 @@ class TestIncrementalPlacement:
         chosen = incremental.add_vertex([10**7])
         assert 0 <= chosen < 4
 
+    def test_arrivals_below_capacity_reuse_the_buffer(self, small_social):
+        # The assignment grows by doubling, not by copying on each call:
+        # the second arrival fits in the room the first one made.
+        base = LdgPartitioner(seed=0).partition(small_social, 4,
+                                                order="random", seed=1)
+        incremental = IncrementalEdgeCutPartitioner(base, seed=0)
+        incremental.add_vertex([0, 1])
+        first = incremental.assignment
+        incremental.add_vertex([2, 3])
+        second = incremental.assignment
+        assert np.shares_memory(first, second)
+        assert second.size == small_social.num_vertices + 2
+        assert np.array_equal(second[:first.size], first)
+        assert np.array_equal(second[:base.num_vertices], base.assignment)
+
 
 class TestHermesRefine:
     def test_cut_never_worse(self, small_social):
