@@ -351,6 +351,7 @@ class ClosedLoopSimulation:
         self.clients_per_worker = clients_per_worker
         self.planner = planner
         self.fault_schedule = fault_schedule or NO_FAULTS
+        self.fault_schedule.check_workers(num_workers)
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self.replica_map = ReplicaMap(num_workers,
                                       max(1, min(k_safety, num_workers)))

@@ -42,7 +42,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.errors import FaultInjectionError
+from repro.errors import ConfigurationError, FaultInjectionError
 from repro.partitioning.base import check_finite_at_least
 
 #: Bound checks of this module raise its own error type.
@@ -236,6 +236,15 @@ class FaultSchedule:
                 and self.drop_probability == 0.0
                 and self.extra_latency_seconds == 0.0)
 
+    def check_workers(self, num_workers: int) -> None:
+        """Raise :class:`~repro.errors.ConfigurationError` when an
+        interval names a worker outside a cluster of *num_workers*."""
+        for interval in self.crashes + self.slowdowns:
+            if interval.worker >= num_workers:
+                raise ConfigurationError(
+                    f"fault schedule names worker {interval.worker}, "
+                    f"outside a cluster of {num_workers} workers")
+
     def is_crashed(self, worker: int, time: float) -> bool:
         """Is *worker* down at *time*?"""
         return any(c.worker == worker and c.covers(time) for c in self.crashes)
@@ -295,8 +304,11 @@ class RetryPolicy:
     def __post_init__(self):
         _check_finite_at_least("timeout_seconds", self.timeout_seconds, 0,
                                strict=True)
-        if self.max_retries < 0:
-            raise FaultInjectionError("max_retries must be >= 0")
+        if (isinstance(self.max_retries, bool)
+                or not isinstance(self.max_retries, int)
+                or self.max_retries < 0):
+            raise FaultInjectionError(
+                f"max_retries must be an int >= 0, got {self.max_retries!r}")
         _check_finite_at_least("backoff_base_seconds",
                                self.backoff_base_seconds, 0)
         _check_finite_at_least("backoff_factor", self.backoff_factor, 1)

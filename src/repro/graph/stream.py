@@ -170,6 +170,21 @@ class EdgeStream:
         for eid in self._permutation.tolist():
             yield EdgeArrival(eid, int(src[eid]), int(dst[eid]))
 
+    def iter_chunks(
+        self, chunk_size: int,
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield ``(edge_ids, src, dst)`` arrays of at most *chunk_size*
+        arrivals each, in stream order; ``edge_ids`` are read-only slices
+        of :attr:`permutation`."""
+        if chunk_size < 1:
+            raise ConfigurationError(
+                f"chunk_size must be >= 1, got {chunk_size}")
+        permutation = self.permutation
+        src, dst = self.graph.src, self.graph.dst
+        for start in range(0, permutation.size, chunk_size):
+            edge_ids = permutation[start:start + chunk_size]
+            yield edge_ids, src[edge_ids], dst[edge_ids]
+
     @property
     def permutation(self) -> np.ndarray:
         """The edge-id order this stream will produce (read-only)."""

@@ -31,7 +31,7 @@ from repro.ingest.pipeline import (
     spill_spec,
 )
 from repro.ingest.quality import file_partition_quality
-from repro.ingest.reader import EdgeStreamFile, FileEdgeStream, FileVertexStream
+from repro.ingest.reader import EdgeStreamFile, FileVertexStream
 from repro.ingest.shard import (
     DEFAULT_SYNC_INTERVAL,
     SHARD_ALGORITHMS,
@@ -61,7 +61,6 @@ __all__ = [
     "STREAM_GENERATORS",
     "EdgeStreamFile",
     "EdgeStreamWriter",
-    "FileEdgeStream",
     "FileVertexStream",
     "Header",
     "MemoryMeter",

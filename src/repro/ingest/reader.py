@@ -1,18 +1,17 @@
 """Memory-mapped readers for ``.redg`` edge-stream files.
 
-:class:`EdgeStreamFile` validates the header and exposes seekable
-``(edge_ids, src, dst)`` chunk iteration over any ``[start, stop)`` edge
-range — resident memory is one chunk regardless of file size, since the
-payload is a read-only :func:`numpy.memmap`.  Two adapters replay a file
-through the existing partitioner interfaces without building a
-:class:`~repro.graph.digraph.Graph`:
-
-* :class:`FileEdgeStream` — the edge-stream shape (``EdgeArrival``
-  elements, plus the ``iter_chunks`` fast path that
-  :func:`repro.partitioning.kernels.iter_edge_chunks` delegates to);
-* :class:`FileVertexStream` — ``VertexArrival`` elements replayed from
-  an adjacency-sorted spill (:func:`repro.ingest.writer.spill_adjacency`),
-  stitching neighbour runs across chunk boundaries.
+:class:`EdgeStreamFile` validates the header and is itself an edge
+stream: it yields :class:`~repro.graph.stream.EdgeArrival` elements in
+file order, and its seekable ``(edge_ids, src, dst)`` chunk iteration
+over any ``[start, stop)`` edge range is what
+:func:`repro.partitioning.kernels.iter_edge_chunks` reads, so every
+edge partitioner takes the file where an
+:class:`~repro.graph.stream.EdgeStream` fits.  Resident memory is one
+chunk regardless of file size, since the payload is a read-only
+:func:`numpy.memmap`.  :class:`FileVertexStream` replays an
+adjacency-sorted spill (:func:`repro.ingest.writer.spill_adjacency`) as
+``VertexArrival`` elements, stitching neighbour runs across chunk
+boundaries, without building a :class:`~repro.graph.digraph.Graph`.
 """
 
 from __future__ import annotations
@@ -28,16 +27,12 @@ from repro.ingest.format import FORMAT_VERSION, HEADER_SIZE, MAGIC, Header
 
 __all__ = [
     "EdgeStreamFile",
-    "FileEdgeStream",
     "FileVertexStream",
 ]
 
-#: Default edges per yielded chunk (matches the scoring-loop chunking).
-DEFAULT_READ_CHUNK = 16384
-
 
 class EdgeStreamFile:
-    """A validated, memory-mapped ``.redg`` file."""
+    """A validated, memory-mapped ``.redg`` file and edge stream."""
 
     def __init__(self, path) -> None:
         self.path = os.fspath(path)
@@ -164,6 +159,14 @@ class EdgeStreamFile:
                 yield (np.arange(piece, piece_stop, dtype=np.int64),
                        src.astype(np.int64), dst.astype(np.int64))
 
+    def __len__(self) -> int:
+        return self.num_edges
+
+    def __iter__(self) -> Iterator[EdgeArrival]:
+        for edge_ids, src, dst in self.iter_chunks():
+            for arrival in zip(edge_ids.tolist(), src.tolist(), dst.tolist()):
+                yield EdgeArrival(*arrival)
+
     def close(self) -> None:
         """Drop the payload mapping (further iteration is invalid)."""
         self._payload = np.zeros(0, dtype="<u8")
@@ -173,42 +176,6 @@ class EdgeStreamFile:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class FileEdgeStream:
-    """Edge-stream adapter over a ``.redg`` file.
-
-    Yields :class:`~repro.graph.stream.EdgeArrival` elements in file
-    order and exposes ``iter_chunks`` so the kernel layer's
-    :func:`~repro.partitioning.kernels.iter_edge_chunks` streams arrays
-    straight off the memory map — every vertex-cut partitioner accepts
-    it wherever an :class:`~repro.graph.stream.EdgeStream` fits.
-    """
-
-    def __init__(self, source) -> None:
-        self.file = (source if isinstance(source, EdgeStreamFile)
-                     else EdgeStreamFile(source))
-
-    @property
-    def num_vertices(self) -> int:
-        return self.file.num_vertices
-
-    @property
-    def num_edges(self) -> int:
-        return self.file.num_edges
-
-    def __len__(self) -> int:
-        return self.num_edges
-
-    def iter_chunks(
-        self, chunk_size: int = DEFAULT_READ_CHUNK,
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        return self.file.iter_chunks(chunk_size)
-
-    def __iter__(self) -> Iterator[EdgeArrival]:
-        for edge_ids, src, dst in self.iter_chunks():
-            yield from (EdgeArrival(e, s, d) for e, s, d in
-                        zip(edge_ids.tolist(), src.tolist(), dst.tolist()))
 
 
 class FileVertexStream:

@@ -27,6 +27,7 @@ import numpy as np
 from repro.errors import ConfigurationError, PartitioningError, ReproError
 from repro.graph.digraph import Graph
 from repro.graph.stream import EdgeStream, VertexStream
+from repro.partitioning.kernels import iter_edge_chunks
 
 UNASSIGNED = -1
 
@@ -223,47 +224,28 @@ class EdgePartitioner(ABC):
 
 
 def iter_edge_arrivals(stream: Iterable) -> Iterator[tuple[int, int, int]]:
-    """Yield ``(edge_id, src, dst)`` tuples from an edge stream, cheaply.
-
-    Graph-backed :class:`~repro.graph.stream.EdgeStream` objects expose
-    their permutation, letting us iterate raw arrays and skip per-arrival
-    object construction — a large constant-factor win for the sequential
-    greedy algorithms.  Any other iterable of
-    :class:`~repro.graph.stream.EdgeArrival`-shaped elements works too.
-    """
-    graph = getattr(stream, "graph", None)
-    permutation = getattr(stream, "permutation", None)
-    if graph is not None and permutation is not None:
-        src = graph.src[permutation]
-        dst = graph.dst[permutation]
-        yield from zip(permutation.tolist(), src.tolist(), dst.tolist())
-    else:
-        for arrival in stream:
-            edge_id, src, dst = arrival
-            yield int(edge_id), int(src), int(dst)
+    """Yield ``(edge_id, src, dst)`` Python-int tuples of an edge stream,
+    flattened from :func:`~repro.partitioning.kernels.iter_edge_chunks`
+    so no per-arrival object is built."""
+    for edge_ids, src, dst in iter_edge_chunks(stream):
+        yield from zip(edge_ids.tolist(), src.tolist(), dst.tolist())
 
 
 def edge_stream_arrays(
         stream: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Materialise an edge stream as ``(edge_ids, src, dst)`` arrays.
+    """Materialise an edge stream as ``(edge_ids, src, dst)`` arrays, the
+    concatenated :func:`~repro.partitioning.kernels.iter_edge_chunks`
+    (three empty int64 arrays for an empty stream).
 
     Used by the *stateless* hash partitioners (VCR, DBH-exact, HCR), whose
     placement of one edge never depends on another — bulk evaluation is
-    semantically identical to element-at-a-time processing.
+    semantically identical to element-at-a-time processing — and by
+    Ginger, which groups the whole stream by target.
     """
-    graph = getattr(stream, "graph", None)
-    permutation = getattr(stream, "permutation", None)
-    if graph is not None and permutation is not None:
-        return (np.asarray(permutation, dtype=np.int64),
-                graph.src[permutation], graph.dst[permutation])
-    ids, srcs, dsts = [], [], []
-    for arrival in stream:
-        edge_id, src, dst = arrival
-        ids.append(edge_id)
-        srcs.append(src)
-        dsts.append(dst)
-    return (np.asarray(ids, dtype=np.int64), np.asarray(srcs, dtype=np.int64),
-            np.asarray(dsts, dtype=np.int64))
+    empty = np.zeros(0, dtype=np.int64)
+    chunks = list(iter_edge_chunks(stream)) or [(empty, empty, empty)]
+    edge_ids, src, dst = (np.concatenate(parts) for parts in zip(*chunks))
+    return edge_ids, src, dst
 
 
 def argmin_with_ties(values: np.ndarray,

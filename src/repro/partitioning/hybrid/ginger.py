@@ -33,10 +33,11 @@ from repro.partitioning.base import (
     EdgePartitioner,
     check_finite_at_least,
     check_num_partitions,
+    edge_stream_arrays,
 )
 from repro.partitioning.edge_cut.fennel import fennel_alpha
 from repro.partitioning.hybrid.hybrid_hash import DEFAULT_DEGREE_THRESHOLD
-from repro.partitioning.kernels import argmax_tie_least_loaded, iter_edge_chunks
+from repro.partitioning.kernels import argmax_tie_least_loaded
 from repro.rng import SeededHash, make_rng
 
 
@@ -80,9 +81,7 @@ class GingerPartitioner(EdgePartitioner):
 
         # Buffer the stream and group it by target: targets in
         # first-arrival order, each target's in-edges in arrival order.
-        empty = np.zeros(0, dtype=np.int64)
-        chunks = list(iter_edge_chunks(stream)) or [(empty, empty, empty)]
-        edge_ids, src, dst = (np.concatenate(parts) for parts in zip(*chunks))
+        edge_ids, src, dst = edge_stream_arrays(stream)
         unique_dst, first_arrival, inverse, in_degree = np.unique(
             dst, return_index=True, return_inverse=True, return_counts=True)
         by_arrival = np.argsort(first_arrival)

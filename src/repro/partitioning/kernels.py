@@ -20,7 +20,7 @@ PowerGraph-greedy):
 * :func:`streaming_partial_degrees` — the partial-degree counters a
   sequential edge loop would maintain, computed for the whole stream in
   one vectorized pass (used by HDRF's θ term, DBH-partial and greedy);
-* :func:`iter_edge_chunks` — chunked edge-stream processing so the
+* :func:`iter_edge_chunks` — the one reader of edge streams, so the
   sequential vertex-cut loops convert numpy → Python scalars one block
   at a time instead of materialising three stream-length lists;
 * :class:`ReplicaMasks` — the per-vertex replica sets ``A(v)`` of the
@@ -100,33 +100,22 @@ def iter_edge_chunks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield ``(edge_ids, src, dst)`` array chunks of an edge stream.
 
-    Peak extra memory is ``O(chunk_size)`` on every path — the stream is
-    never materialised whole:
-
-    * streams exposing ``iter_chunks(chunk_size)`` (the file-backed
-      :class:`repro.ingest.FileEdgeStream`) delegate to it and read
-      chunks straight off disk;
-    * graph-backed :class:`~repro.graph.stream.EdgeStream` objects slice
-      their permutation per chunk and gather only those edges;
-    * any other iterable of ``EdgeArrival``-shaped elements is buffered
-      one chunk at a time.
-
-    Arrival order is preserved exactly on all three paths.
+    This is the one place that decides how an edge stream is read: the
+    edge partitioners, :func:`~repro.partitioning.base.iter_edge_arrivals`
+    and :func:`~repro.partitioning.base.edge_stream_arrays` all read
+    through it.  A stream that can produce arrays offers
+    ``iter_chunks(chunk_size)`` and its chunks pass through unchanged —
+    a graph-backed :class:`~repro.graph.stream.EdgeStream` slices its
+    permutation, a ``.redg`` :class:`repro.ingest.EdgeStreamFile` reads
+    off its memory map.  Any other iterable of ``(edge_id, src, dst)``
+    elements is buffered one chunk at a time.  Either way arrival order
+    is preserved and peak extra memory is ``O(chunk_size)``.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    file_chunks = getattr(stream, "iter_chunks", None)
-    if callable(file_chunks):
-        yield from file_chunks(chunk_size)
-        return
-    graph = getattr(stream, "graph", None)
-    permutation = getattr(stream, "permutation", None)
-    if graph is not None and permutation is not None:
-        permutation = np.asarray(permutation, dtype=np.int64)
-        src, dst = graph.src, graph.dst
-        for start in range(0, int(permutation.size), chunk_size):
-            chunk_ids = permutation[start:start + chunk_size]
-            yield chunk_ids, src[chunk_ids], dst[chunk_ids]
+    own_chunks = getattr(stream, "iter_chunks", None)
+    if callable(own_chunks):
+        yield from own_chunks(chunk_size)
         return
     ids: list = []
     srcs: list = []

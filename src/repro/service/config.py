@@ -173,6 +173,8 @@ class ServiceConfig:
             raise ConfigurationError("read_queue_bound must be >= 1")
         if self.k_safety < 1:
             raise ConfigurationError("k_safety must be >= 1")
+        if self.fault_schedule is not None:
+            self.fault_schedule.check_workers(self.num_partitions)
         if self.slo_degradation and not self.slo_sampling:
             raise ConfigurationError(
                 "slo_degradation needs slo_sampling=True — the hook is "

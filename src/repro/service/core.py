@@ -395,33 +395,12 @@ class PartitionedGraphService:
                 num_edges=graph.num_edges))
 
             if sampling:
-                record = epoch_records[-1]
-                gauge = metrics.gauge
-                gauge("service.epoch.offered_mutations").set(
-                    record.offered_mutations)
-                gauge("service.epoch.applied_mutations").set(
-                    record.applied_mutations)
-                gauge("service.epoch.pending_mutations").set(
-                    record.pending_mutations)
-                gauge("service.epoch.shed_writes").set(record.shed_writes)
-                gauge("service.epoch.shed_reads").set(record.shed_reads)
-                gauge("service.epoch.completed_queries").set(
-                    record.completed_queries)
-                gauge("service.epoch.failed_queries").set(
-                    record.failed_queries)
-                gauge("service.epoch.timeouts").set(record.timeouts)
-                gauge("service.epoch.retries").set(record.retries)
-                gauge("service.epoch.migration_waits").set(
-                    record.migration_waits)
-                gauge("service.epoch.mean_latency_ms").set(
-                    record.mean_latency_ms)
-                gauge("service.epoch.p99_latency_ms").set(
-                    record.p99_latency_ms)
-                gauge("service.epoch.drift").set(sample.drift)
-                gauge("service.epoch.edge_cut").set(sample.edge_cut)
-                gauge("service.epoch.imbalance").set(sample.imbalance)
-                gauge("service.epoch.num_vertices").set(record.num_vertices)
-                gauge("service.epoch.num_edges").set(record.num_edges)
+                gauges = asdict(epoch_records[-1])
+                del gauges["epoch"], gauges["time"]
+                gauges.update(drift=sample.drift, edge_cut=sample.edge_cut,
+                              imbalance=sample.imbalance)
+                for name, value in gauges.items():
+                    metrics.gauge(f"service.epoch.{name}").set(value)
                 metric_sample = sampler.sample(t1, index=epoch)
                 assert metric_sample is not None and evaluator is not None
                 alerts.extend(evaluator.observe(metric_sample))

@@ -187,6 +187,19 @@ class TestFaultInjection:
         assert first.failed_queries == second.failed_queries
         assert first.dropped_requests == second.dropped_requests
 
+    @pytest.mark.parametrize("schedule", [
+        FaultSchedule(crashes=(CrashInterval(8, 0.1, 0.3),)),
+        FaultSchedule(slowdowns=(SlowdownInterval(9, 0.1, 0.3, 0.5),)),
+    ])
+    def test_worker_outside_cluster_rejected(self, straggler_setup,
+                                             schedule):
+        # Such a fault used to be ignored: the fault-free result.
+        graph, partition, bindings = straggler_setup
+        with pytest.raises(ConfigurationError,
+                           match=r"worker \d+, outside a cluster of 8"):
+            simulate_workload(graph, partition, bindings, duration=0.1,
+                              fault_schedule=schedule)
+
 
 class TestClusterOwnerValidation:
     """Satellite: Cluster must reject malformed vertex_owner arrays at

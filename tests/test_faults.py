@@ -235,6 +235,13 @@ class TestRetryPolicy:
         with pytest.raises(FaultInjectionError, match=field):
             RetryPolicy(**{field: value})
 
+    @pytest.mark.parametrize("value", [NAN, 2.5, True, "3"])
+    def test_max_retries_must_be_a_non_negative_int(self, value):
+        # NaN used to fail queries it could have retried, 2.5 retried
+        # like 3 and True like 1.
+        with pytest.raises(FaultInjectionError, match="max_retries"):
+            RetryPolicy(max_retries=value)
+
     def test_backoff_grows_exponentially(self):
         policy = RetryPolicy(backoff_base_seconds=1e-3, backoff_factor=2.0,
                              jitter_fraction=0.0)

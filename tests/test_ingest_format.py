@@ -23,7 +23,6 @@ from repro.ingest import (
     MAGIC,
     EdgeStreamFile,
     EdgeStreamWriter,
-    FileEdgeStream,
     FileVertexStream,
     Header,
     spill_adjacency,
@@ -100,7 +99,8 @@ class TestWriterReader:
         stream_file = EdgeStreamFile(path)
         assert stream_file.num_edges == 0
         assert list(stream_file.iter_chunks()) == []
-        assert list(FileEdgeStream(stream_file)) == []
+        assert len(stream_file) == 0
+        assert list(stream_file) == []
 
     def test_describe(self, tmp_path):
         path = write_stream(tmp_path / "s.redg",
@@ -217,29 +217,54 @@ class TestRangeIteration:
             list(stream_file.iter_chunks(0))
 
 
+#: Every partitioner that reads an edge stream, with the arguments that
+#: let it read one it cannot look up degrees in.
+EDGE_READERS = {"vcr": {}, "grid": {}, "greedy": {}, "hdrf": {},
+                "dbh": {"degrees": "partial"}, "hcr": {}, "hg": {},
+                "iogp": {}, "leopard": {}}
+
+
 class TestReplayParity:
     """Partitioning a spill ≡ partitioning the stream it came from."""
 
-    def test_edge_replay_matches_graph_stream(self, tmp_path):
-        from repro.partitioning.vertex_cut.hdrf import HdrfPartitioner
+    @pytest.mark.parametrize("name", list(EDGE_READERS))
+    def test_edge_replay_matches_graph_stream(self, tmp_path, name):
+        """A graph-backed stream, its arrivals as plain tuples and (in
+        natural order) its spill give one partition: every reader of an
+        edge stream yields the same arrays."""
+        from repro.partitioning.registry import make_seeded_partitioner
 
         graph = rmat(8, 8.0, seed=3)
         path = spill_graph_edges(graph, tmp_path / "g.redg", chunk_edges=97)
-        file_stream = FileEdgeStream(path)
-        assert file_stream.num_edges == graph.num_edges
-        in_memory = HdrfPartitioner(seed=2).partition(graph, 8,
-                                                      order="natural")
-        from_file = HdrfPartitioner(seed=2).partition_stream(
-            file_stream, 8, num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges)
-        assert np.array_equal(in_memory.assignment, from_file.assignment)
+        stream_file = EdgeStreamFile(path)
+        assert len(stream_file) == graph.num_edges
+
+        def run(stream):
+            partitioner = make_seeded_partitioner(name, 2,
+                                                  **EDGE_READERS[name])
+            return partitioner.partition_stream(
+                stream, 8, num_vertices=graph.num_vertices,
+                num_edges=graph.num_edges)
+
+        def assert_same(expected, got):
+            assert np.array_equal(expected.assignment, got.assignment)
+            masters = getattr(expected, "masters", None)
+            if masters is not None:
+                assert np.array_equal(masters, got.masters)
+
+        for order in ("natural", "random"):
+            stream = EdgeStream(graph, order=order, seed=5)
+            expected = run(stream)
+            assert_same(expected, run([tuple(a) for a in stream]))
+            if order == "natural":
+                assert_same(expected, run(stream_file))
 
     def test_edge_arrivals_match_stream_elements(self, tmp_path):
         graph = rmat(6, 4.0, seed=1)
         path = spill_graph_edges(graph, tmp_path / "g.redg", chunk_edges=11)
         expected = [(a.edge_id, a.src, a.dst)
                     for a in EdgeStream(graph, order="natural")]
-        got = [(a.edge_id, a.src, a.dst) for a in FileEdgeStream(path)]
+        got = [(a.edge_id, a.src, a.dst) for a in EdgeStreamFile(path)]
         assert got == expected
 
     def test_vertex_replay_matches_graph_stream(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, PartitioningError
-from repro.graph import EdgeStream
+from repro.graph import EdgeStream, Graph
 from repro.graph.generators import path_graph
 from repro.partitioning import (
     FennelPartitioner,
@@ -251,3 +251,9 @@ class TestStreamHelpers:
         ids, src, dst = edge_stream_arrays([(5, 0, 1), (2, 1, 0)])
         assert ids.tolist() == [5, 2]
         assert src.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("stream", [
+        [], iter([]), EdgeStream(Graph(3, [], []), "random", seed=1)])
+    def test_edge_stream_arrays_empty(self, stream):
+        arrays = edge_stream_arrays(stream)
+        assert [(a.dtype, a.size) for a in arrays] == [(np.int64, 0)] * 3

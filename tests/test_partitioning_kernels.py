@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.errors import ConfigurationError
 from repro.graph import Graph
 from repro.graph.generators import ldbc_like, twitter_like
 from repro.graph.stream import VertexStream
@@ -318,6 +319,8 @@ class TestStreamHelpers:
         from repro.graph.stream import EdgeStream
         with pytest.raises(ValueError):
             list(iter_edge_chunks(EdgeStream(tiny_graph), chunk_size=0))
+        with pytest.raises(ConfigurationError, match="chunk_size"):
+            list(EdgeStream(tiny_graph).iter_chunks(0))
 
     def test_streaming_partial_degrees_match_scalar_counters(self):
         rng = np.random.default_rng(42)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, PartitioningError
+from repro.faults import CrashInterval, FaultSchedule
 from repro.graph.generators import ldbc_like
 from repro.service import (
     DriftMonitor,
@@ -261,6 +262,14 @@ class TestValidation:
         query, and a NaN drift_threshold silently never migrated."""
         with pytest.raises(ConfigurationError, match=field):
             ServiceConfig(**{field: value})
+
+    def test_fault_schedule_worker_outside_cluster_rejected(self):
+        # Caught at construction, not when an epoch window reaches it.
+        schedule = FaultSchedule(crashes=(CrashInterval(4, 0.1, 0.3),))
+        with pytest.raises(ConfigurationError,
+                           match="worker 4, outside a cluster of 4"):
+            ServiceConfig(num_partitions=4, fault_schedule=schedule)
+        ServiceConfig(num_partitions=5, fault_schedule=schedule)
 
     def test_negative_workload_skew_rejected_at_construction(self):
         with pytest.raises(ConfigurationError, match="workload_skew"):
